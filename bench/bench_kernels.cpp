@@ -1,8 +1,9 @@
 // Kernel-substrate bench: blocked/packed GEMM (tensor/gemm.cpp) vs the
 // seed's naive row-streaming matmul (matmul_ref) on the GEMM shapes the GPT
-// blocks actually produce, plus fused-epilogue savings and genuine
+// blocks actually produce, plus fused-epilogue savings, genuine
 // before/after end-to-end train_step time (the reference kernel is swapped
-// in at runtime via set_use_reference_gemm).
+// in at runtime via set_use_reference_gemm), fused attention, the bf16
+// conversion kernels and the CPU Adam update.
 //
 // Prints a fixed-width table and writes BENCH_kernels.json so the perf
 // trajectory is tracked per-PR (CI runs `bench_kernels --smoke` and uploads
@@ -17,11 +18,13 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "ckpt/ckpt.hpp"
 #include "core/engine.hpp"
 #include "data/synthetic.hpp"
 #include "mem/device_arena.hpp"
 #include "nn/attention.hpp"
 #include "nn/gpt.hpp"
+#include "optim/optimizer.hpp"
 #include "tensor/attention_kernel.hpp"
 #include "tensor/dtype.hpp"
 #include "tensor/matmul_ref.hpp"
@@ -359,6 +362,40 @@ FaultInRow run_fault_in(std::size_t params, double budget_s) {
   return row;
 }
 
+struct AdamRow {
+  std::size_t params = 0;
+  double ns_per_param = 0.0;
+  std::uint64_t params_fnv1a = 0;  // parameters after kAdamHashSteps steps
+};
+
+constexpr std::int64_t kAdamHashSteps = 3;
+
+/// CPU Adam (`optim::Adam::step`, default config) over one layer's flat
+/// parameter blob: ns per parameter per step. The hash of the parameters
+/// after a fixed number of steps lets native and portable builds be checked
+/// for identical bits.
+AdamRow run_adam(std::size_t params, double budget_s) {
+  sh::tensor::Rng rng(23);
+  std::vector<float> p(params), g(params), state(2 * params, 0.0f);
+  rng.fill_uniform(p, 1.0f);
+  rng.fill_uniform(g, 1.0f);
+  const sh::optim::Adam adam;
+  const auto n = static_cast<std::int64_t>(params);
+  for (std::int64_t t = 1; t <= kAdamHashSteps; ++t) {
+    adam.step(p.data(), g.data(), state.data(), t, n);
+  }
+
+  AdamRow row;
+  row.params = params;
+  row.params_fnv1a =
+      sh::ckpt::checksum_bytes(p.data(), p.size() * sizeof(float));
+  std::int64_t t = kAdamHashSteps;
+  row.ns_per_param = 1e9 * time_best(budget_s, [&] {
+    adam.step(p.data(), g.data(), state.data(), ++t, n);
+  }) / static_cast<double>(params);
+  return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -460,6 +497,13 @@ int main(int argc, char** argv) {
   sh::bench::row("%10zu params %10.3f ms (f32) %10.3f ms (bf16) wire 0.50x",
                  fault.params, fault.f32_ms, fault.bf16_ms);
 
+  // One train_dp4 transformer block (hidden 256): 12 h^2 + 13 h params.
+  sh::bench::header("optimizer — CPU Adam, one hidden-256 block");
+  const AdamRow adam = run_adam(789760, budget);
+  sh::bench::row("%10zu params %10.3f ns/param   params fnv1a %016llx",
+                 adam.params, adam.ns_per_param,
+                 static_cast<unsigned long long>(adam.params_fnv1a));
+
   std::FILE* f = std::fopen("BENCH_kernels.json", "w");
   if (f != nullptr) {
     std::fprintf(f, "{\n  \"bench\": \"kernels\",\n  \"smoke\": %s,\n",
@@ -523,8 +567,14 @@ int main(int argc, char** argv) {
                  conv.dec_gbps);
     std::fprintf(f,
                  "  \"dtype_fault_in\": {\"params\": %zu, \"f32_ms\": %.4f, "
-                 "\"bf16_ms\": %.4f, \"wire_bytes_ratio\": 0.5}\n}\n",
+                 "\"bf16_ms\": %.4f, \"wire_bytes_ratio\": 0.5},\n",
                  fault.params, fault.f32_ms, fault.bf16_ms);
+    std::fprintf(f,
+                 "  \"optimizer\": {\"params\": %zu, "
+                 "\"adam_ns_per_param\": %.4f, "
+                 "\"params_fnv1a\": \"%016llx\"}\n}\n",
+                 adam.params, adam.ns_per_param,
+                 static_cast<unsigned long long>(adam.params_fnv1a));
     std::fclose(f);
     std::printf("\nwrote BENCH_kernels.json\n");
   }

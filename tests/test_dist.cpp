@@ -2,12 +2,19 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "dist/comm_volume.hpp"
 #include "dist/hetero_comm.hpp"
 #include "dist/process_group.hpp"
+#include "testing/util.hpp"
 
 namespace sh::dist {
 namespace {
@@ -125,20 +132,177 @@ TEST(ProcessGroup, BroadcastCopiesRoot) {
   }
 }
 
-TEST(ProcessGroup, SizeMismatchThrowsOnEveryRank) {
-  const int world = 2;
+enum class Mismatch {
+  AllReduce,
+  AllGather,
+  ReduceScatter,
+  Broadcast,
+  BroadcastRoot,  ///< same sizes, ranks name different roots
+  AllGatherOut,   ///< same input sizes, one rank's `out` has the wrong size
+};
+
+class ProcessGroupMismatch : public ::testing::TestWithParam<Mismatch> {};
+
+TEST_P(ProcessGroupMismatch, SizeMismatchThrowsOnEveryRank) {
+  const int world = 3;
   ProcessGroup pg(world);
   std::atomic<int> threw{0};
-  std::vector<float> a(4), b(5);
   run_ranks(world, [&](int rank) {
+    // Rank 1's buffer is one float short: a peer that read it at its own
+    // length would run past its end.
+    const bool shapes_differ = GetParam() != Mismatch::BroadcastRoot &&
+                               GetParam() != Mismatch::AllGatherOut;
+    const std::size_t n = shapes_differ && rank == 1 ? 4 : 5;
+    std::vector<float> buf(n, 1.0f);
+    std::vector<float> wide(n * world, 1.0f);
     try {
-      pg.all_reduce_sum(rank, rank == 0 ? std::span<float>(a)
-                                        : std::span<float>(b));
+      switch (GetParam()) {
+        case Mismatch::AllReduce:
+          pg.all_reduce_sum(rank, buf);
+          break;
+        case Mismatch::AllGather:
+          pg.all_gather(rank, buf, wide);
+          break;
+        case Mismatch::ReduceScatter:
+          pg.reduce_scatter_sum(rank, wide, buf);
+          break;
+        case Mismatch::Broadcast:  // the short rank is the root
+          pg.broadcast(rank, 1, buf);
+          break;
+        case Mismatch::BroadcastRoot:
+          pg.broadcast(rank, rank == 2 ? 0 : 1, buf);
+          break;
+        case Mismatch::AllGatherOut:
+          pg.all_gather(rank, buf,
+                        std::span(wide).first(rank == 1 ? n : n * world));
+          break;
+      }
     } catch (const std::invalid_argument&) {
       threw.fetch_add(1);
     }
   });
-  EXPECT_EQ(threw.load(), 2);  // all ranks throw; nobody deadlocks
+  EXPECT_EQ(threw.load(), world);  // all ranks throw; nobody deadlocks
+  // The group is still usable after a rejected round.
+  std::vector<std::vector<float>> bufs(world, std::vector<float>{1.0f});
+  run_ranks(world, [&](int rank) {
+    pg.all_reduce_sum(rank, bufs[static_cast<std::size_t>(rank)]);
+  });
+  EXPECT_EQ(bufs[0][0], 3.0f);
+}
+
+std::string mismatch_name(const ::testing::TestParamInfo<Mismatch>& info) {
+  constexpr const char* kNames[] = {"AllReduce",     "AllGather",
+                                    "ReduceScatter", "Broadcast",
+                                    "BroadcastRoot", "AllGatherOut"};
+  return kNames[static_cast<int>(info.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Collectives, ProcessGroupMismatch,
+    ::testing::Values(Mismatch::AllReduce, Mismatch::AllGather,
+                      Mismatch::ReduceScatter, Mismatch::Broadcast,
+                      Mismatch::BroadcastRoot, Mismatch::AllGatherOut),
+    mismatch_name);
+
+/// Rank r's input at element i, chosen so that summing in any order but
+/// rank order changes bits: magnitudes from 2^-24 to 2^27, the sequence
+/// (1e8, 1, -1e8) across consecutive ranks (0 in rank order, 1 if the 1 is
+/// added last), signed zeros (the sum of -0s is +0 only when it starts
+/// from 0.0f), and ±inf and NaN.
+float order_sensitive(int r, std::size_t i) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  // The kind of value depends on the element only, the value on the rank.
+  switch (testing::mix64(i) % 16) {
+    case 0: {
+      constexpr float kCancel[] = {1e8f, 1.0f, -1e8f};
+      return kCancel[r % 3];
+    }
+    case 1:
+      return -0.0f;
+    case 2:
+      return r % 2 == 0 ? 0.0f : -0.0f;
+    case 3:
+      return r == 0 ? kInf : (r == 1 ? -kInf : 1.0f);
+    case 4:
+      return r == 1 ? std::numeric_limits<float>::quiet_NaN() : 2.0f;
+    default: {
+      const std::uint64_t x = testing::mix64(i * 64 + static_cast<unsigned>(r));
+      const float mantissa = 1.0f + static_cast<float>(x >> 41) / 8388608.0f;
+      const int exponent = static_cast<int>((x >> 8) % 52) - 24;
+      const float v = std::ldexp(mantissa, exponent);
+      return (x & 1) != 0 ? -v : v;
+    }
+  }
+}
+
+/// The serial reference: each element is 0.0f + x_0 + x_1 + ... + x_{w-1}.
+std::vector<float> serial_rank_order_sum(
+    const std::vector<std::vector<float>>& in) {
+  std::vector<float> sum(in.front().size());
+  for (std::size_t i = 0; i < sum.size(); ++i) {
+    float s = 0.0f;
+    for (const auto& x : in) s += x[i];
+    sum[i] = s;
+  }
+  return sum;
+}
+
+constexpr int kOrderWorlds[] = {1, 2, 3, 4, 5, 8};
+
+std::vector<std::size_t> order_lengths(int world) {
+  const auto w = static_cast<std::size_t>(world);
+  return {0, 1, w - 1, w + 1, 1023, 1024, 1025, 789763};
+}
+
+TEST(ProcessGroup, AllReduceEqualsSerialRankOrderSumBitwise) {
+  for (const int world : kOrderWorlds) {
+    for (const std::size_t n : order_lengths(world)) {
+      SCOPED_TRACE("world " + std::to_string(world) + " n " +
+                   std::to_string(n));
+      std::vector<std::vector<float>> bufs(static_cast<std::size_t>(world));
+      for (int r = 0; r < world; ++r) {
+        auto& b = bufs[static_cast<std::size_t>(r)];
+        b.resize(n);
+        for (std::size_t i = 0; i < n; ++i) b[i] = order_sensitive(r, i);
+      }
+      const std::vector<float> want = serial_rank_order_sum(bufs);
+      ProcessGroup pg(world);
+      run_ranks(world, [&](int rank) {
+        pg.all_reduce_sum(rank, bufs[static_cast<std::size_t>(rank)]);
+      });
+      for (const auto& b : bufs) EXPECT_TRUE(testing::bits_equal(b, want));
+    }
+  }
+}
+
+TEST(ProcessGroup, ReduceScatterEqualsSerialRankOrderSumBitwise) {
+  for (const int world : kOrderWorlds) {
+    const auto w = static_cast<std::size_t>(world);
+    for (const std::size_t len : order_lengths(world)) {
+      // Each rank keeps a shard of ceil(len / w), so the inputs hold len
+      // floats rounded up to a multiple of the world.
+      const std::size_t shard = (len + w - 1) / w;
+      SCOPED_TRACE("world " + std::to_string(world) + " shard " +
+                   std::to_string(shard));
+      std::vector<std::vector<float>> in(w);
+      for (int r = 0; r < world; ++r) {
+        auto& x = in[static_cast<std::size_t>(r)];
+        x.resize(shard * w);
+        for (std::size_t i = 0; i < x.size(); ++i) x[i] = order_sensitive(r, i);
+      }
+      const std::vector<float> want = serial_rank_order_sum(in);
+      std::vector<std::vector<float>> outs(w, std::vector<float>(shard));
+      ProcessGroup pg(world);
+      run_ranks(world, [&](int rank) {
+        const auto r = static_cast<std::size_t>(rank);
+        pg.reduce_scatter_sum(rank, in[r], outs[r]);
+      });
+      for (std::size_t r = 0; r < w; ++r) {
+        EXPECT_TRUE(testing::bits_equal(
+            outs[r], std::span(want).subspan(r * shard, shard)));
+      }
+    }
+  }
 }
 
 TEST(ProcessGroup, CountsCommunicationVolume) {

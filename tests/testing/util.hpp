@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <span>
 #include <vector>
@@ -15,6 +18,35 @@
 #include "tensor/tensor.hpp"
 
 namespace sh::testing {
+
+/// splitmix64's finaliser: a well-mixed hash for deterministic test inputs.
+inline std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// Bit-for-bit equality of two float arrays (so -0 differs from +0 and NaN
+/// payloads count), reporting the first element that differs.
+inline ::testing::AssertionResult bits_equal(std::span<const float> got,
+                                             std::span<const float> want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << got.size() << " != " << want.size();
+  }
+  if (want.empty() ||
+      std::memcmp(got.data(), want.data(), want.size_bytes()) == 0) {
+    return ::testing::AssertionSuccess();
+  }
+  for (std::size_t i = 0;; ++i) {
+    if (std::bit_cast<std::uint32_t>(got[i]) !=
+        std::bit_cast<std::uint32_t>(want[i])) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": got " << got[i] << " want " << want[i];
+    }
+  }
+}
 
 inline void expect_allclose(std::span<const float> a, std::span<const float> b,
                             float atol = 1e-5f, float rtol = 1e-4f) {
