@@ -2,12 +2,17 @@
 // serves a burst of concurrent generation requests with continuous batching,
 // a byte-budgeted KV arena (tight enough to force preemption) and per-request
 // deterministic sampling. Prints the schedule's throughput, latency
-// percentiles and the serve-step/request Gantt trace.
+// percentiles and the serve-step/request Gantt chart drawn from the obs
+// recorder's "serve" and "request" spans. Exits non-zero when either track
+// recorded nothing.
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "data/synthetic.hpp"
+#include "obs/export.hpp"
+#include "obs/obs.hpp"
 #include "serve/scheduler.hpp"
 
 int main() {
@@ -48,6 +53,7 @@ int main() {
   // 1024 bytes/token; 12 in-flight sequences at full depth would need
   // ~200 KiB — the residual budget forces preemption.
   sh::serve::Scheduler sched(engine, scfg);
+  sh::obs::Recorder::global().set_enabled(true);
 
   std::printf("submitting 12 requests (greedy and sampled)...\n");
   for (int i = 0; i < 12; ++i) {
@@ -94,7 +100,28 @@ int main() {
 
   std::printf("\ntokens of request 1: ");
   for (const auto t : sched.result(1)) std::printf("%d ", t);
-  std::printf("\n\nserving trace:\n");
-  sched.serve_engine().trace().render(std::cout, 100);
+  // Keep the serving tracks and start the chart at the first serving span
+  // (the snapshot is sorted by start time). Recorder time starts before the
+  // training steps, which would otherwise squeeze the chart into its last
+  // columns.
+  std::vector<sh::obs::Span> spans;
+  std::size_t serve_spans = 0, request_spans = 0;
+  for (const auto& s : sh::obs::Recorder::global().snapshot()) {
+    if (s.track != "serve" && s.track != "request") continue;
+    ++(s.track == "serve" ? serve_spans : request_spans);
+    spans.push_back(s);
+  }
+  const double t0 = spans.empty() ? 0.0 : spans.front().start_s;
+  for (auto& s : spans) {
+    s.start_s -= t0;
+    s.end_s -= t0;
+  }
+  std::printf("\n\nserving trace (%zu step spans, %zu request spans):\n",
+              serve_spans, request_spans);
+  sh::obs::to_sim_trace(spans).render(std::cout, 100);
+  if (serve_spans == 0 || request_spans == 0) {
+    std::fprintf(stderr, "serve_demo: no serve or request spans recorded\n");
+    return 1;
+  }
   return 0;
 }

@@ -7,8 +7,8 @@
 //                        fault-injection plan and the bounded-retry policy of
 //                        the NVMe tier — Section III-G machinery reused)
 //   gen-<step>.manifest  per-tensor {offset, count, checksum} + small named
-//                        blobs (RNG streams, data-loader cursor, loss-scaler
-//                        state, step counters), self-checksummed
+//                        blobs (RNG streams, data-loader cursor, step
+//                        counters), self-checksummed
 //
 // Commit protocol (crash-consistent by construction): both files are written
 // as `.tmp`, fsynced, and renamed data-first, manifest-last; the manifest

@@ -3,16 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
 
-#include "core/checkpoint.hpp"
 #include "nn/block.hpp"
 #include "obs/obs.hpp"
-#include "tensor/half.hpp"
 #include "tensor/rng.hpp"
 
 #include "dist/process_group.hpp"
@@ -81,8 +80,7 @@ StrongholdEngine::StrongholdEngine(nn::GptModel& model, EngineConfig config)
       h2d_("h2d"),
       d2h_("d2h"),
       adam_proto_(cfg_.adam),
-      opts_(adam_proto_, cfg_.optimizer_workers),
-      scaler_(cfg_.loss_scaler) {
+      opts_(adam_proto_, cfg_.optimizer_workers) {
   if (cfg_.num_executors == 0) {
     throw std::invalid_argument("num_executors must be >= 1");
   }
@@ -97,11 +95,6 @@ StrongholdEngine::StrongholdEngine(nn::GptModel& model, EngineConfig config)
   }
   if (const char* env = std::getenv("SH_WINDOW_ROUNDING")) {
     cfg_.window_rounding = tensor::parse_rounding(env);
-  }
-  if (cfg_.fp16 && bf16_window()) {
-    throw std::invalid_argument(
-        "EngineConfig: fp16 and window_dtype=bf16 are mutually exclusive "
-        "(both re-encode the CPU<->GPU wire)");
   }
   elem_bytes_ = tensor::bytes_per_element(cfg_.window_dtype);
   setup_pinned_layers();
@@ -191,16 +184,6 @@ StrongholdEngine::StrongholdEngine(nn::GptModel& model, EngineConfig config)
     }
   }
 
-  trace_epoch_ = now_seconds();
-  if (cfg_.record_trace) {
-    // Writes the sim trace directly (not through trace_span): the pool
-    // already records its own "cpu-opt" obs spans, and routing the observer
-    // through trace_span would duplicate them on the global recorder.
-    opts_.set_update_observer([this](double t0, double t1) {
-      std::lock_guard<std::mutex> lock(trace_mu_);
-      trace_.record("cpu-opt", "o", {t0 - trace_epoch_, t1 - trace_epoch_});
-    });
-  }
   obs_provider_id_ = obs::Registry::global().add_provider(
       [this](obs::MetricsSnapshot& out) { export_metrics(out); });
 
@@ -212,19 +195,6 @@ StrongholdEngine::StrongholdEngine(nn::GptModel& model, EngineConfig config)
   if (!cfg_.ckpt.dir.empty()) {
     ckpt_ = std::make_unique<ckpt::Checkpointer>(cfg_.ckpt);
   }
-}
-
-void StrongholdEngine::trace_span(const char* resource, const char* label,
-                                  double t0, double t1) {
-  obs::span(resource, label, t0, t1);
-  if (!cfg_.record_trace) return;
-  std::lock_guard<std::mutex> lock(trace_mu_);
-  trace_.record(resource, label, {t0 - trace_epoch_, t1 - trace_epoch_});
-}
-
-sim::Trace StrongholdEngine::trace_snapshot() const {
-  std::lock_guard<std::mutex> lock(trace_mu_);
-  return trace_;
 }
 
 StrongholdEngine::~StrongholdEngine() {
@@ -267,13 +237,6 @@ void StrongholdEngine::init_params(std::uint64_t seed) {
   std::memcpy(pinned_head_, head.cpu_params.data(),
               sizeof(float) * static_cast<std::size_t>(head.params));
   std::fill_n(pinned_head_ + head.params, head.params, 0.0f);
-  if (cfg_.fp16) {
-    // Device-resident parameters are FP16; masters stay FP32.
-    tensor::quantize_fp16_inplace(pinned_emb_,
-                                  static_cast<std::size_t>(emb.params));
-    tensor::quantize_fp16_inplace(pinned_head_,
-                                  static_cast<std::size_t>(head.params));
-  }
 }
 
 void StrongholdEngine::normalize_residency() {
@@ -315,7 +278,7 @@ void StrongholdEngine::prefetch(std::size_t index) {
     }
     if (slot == nullptr) {
       const double t = now_seconds();
-      trace_span("mem", "defer", t, t);
+      obs::span("mem", "defer", t, t);
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.deferred_prefetches;
       return;
@@ -329,15 +292,11 @@ void StrongholdEngine::issue_fetch(LayerState& st, std::byte* slot) {
   auto update_done = st.update_done;  // wait for a pending optimizer step
   const auto params = static_cast<std::size_t>(st.params);
   const double rate = cfg_.h2d_bytes_per_s;
-  // Deterministic stochastic-rounding stream: the event counter is drawn on
-  // the issuing (control) thread, so the rounding sequence depends only on
-  // the fetch order, not on worker timing.
-  const std::uint64_t rng_seq = st.rng_seq++;
   LayerProfile* prof = (st.index >= 1 && st.index <= num_blocks())
                            ? &profiles_[st.index - 1]
                            : nullptr;
-  st.ready = h2d_.run_async([this, &st, slot, params, update_done, rate, prof,
-                             rng_seq] {
+  st.ready = h2d_.run_async([this, &st, slot, params, update_done, rate,
+                             prof] {
     if (update_done.valid()) update_done.wait();
     // Fault the master in from the NVMe tier if needed (Section III-G).
     // get(), not wait(): a tier read whose retry budget is exhausted
@@ -347,31 +306,21 @@ void StrongholdEngine::issue_fetch(LayerState& st, std::byte* slot) {
     const double t0 = now_seconds();
     if (bf16_window()) {
       // The wire format is BF16: the FP32 master lands encoded, at half
-      // the bytes; the slot genuinely stores 2-byte elements.
+      // the bytes; the slot genuinely stores 2-byte elements. st.step is
+      // read here, after update_done, so it is the version of the master
+      // being encoded.
       auto* dst = reinterpret_cast<tensor::bf16*>(slot);
-      if (cfg_.window_rounding == tensor::Rounding::stochastic) {
-        tensor::Rng rng(
-            tensor::mix_seed(cfg_.rounding_seed, st.index, rng_seq));
-        tensor::convert_float_to_bf16_stochastic(st.cpu_params.data(), dst,
-                                                 params, rng);
-      } else {
-        tensor::convert_float_to_bf16(st.cpu_params.data(), dst, params);
-      }
+      encode_bf16(st, st.cpu_params.data(), dst, params, param_event(st));
       std::fill_n(dst + params, params, tensor::bf16{0});  // fresh grads
     } else {
       auto* dst = reinterpret_cast<float*>(slot);
       std::memcpy(dst, st.cpu_params.data(), params * sizeof(float));
       std::fill_n(dst + params, params, 0.0f);  // fresh gradient buffer
-      if (cfg_.fp16) {
-        // The wire format is FP16: the copy lands rounded, at half the
-        // bytes (storage stays f32; only bf16 re-types the slot).
-        tensor::quantize_fp16_inplace(dst, params);
-      }
     }
     const std::size_t wire = wire_param_bytes(st.params);
     throttle_sleep(static_cast<double>(wire), rate);
     if (prof != nullptr) prof->t_c2g = now_seconds() - t0;
-    trace_span("h2d", "p", t0, now_seconds());
+    obs::span("h2d", "p", t0, now_seconds());
     h2d_.record_transfer(wire);  // true wire bytes on the link's own stats
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.h2d_transfers;
@@ -409,25 +358,21 @@ void StrongholdEngine::wait_ready(LayerState& st) {
 }
 
 float* StrongholdEngine::bind_params_f32(LayerState& st) {
-  // Pinned layers and FP32/FP16 windows store f32 elements in place; a BF16
+  // Pinned layers and FP32 windows store f32 elements in place; a BF16
   // window decodes into the staging buffer (barrier-serialized per layer, so
   // one buffer suffices — the stage models the f32 compute view and is not
-  // charged to the window region, mirroring FP16's in-place rounding).
+  // charged to the window region).
   if (!bf16_window() || st.pinned_on_gpu) return slot_f32(st);
   tensor::convert_bf16_to_float(slot_b16(st), stage_.data(),
                                 static_cast<std::size_t>(st.params));
   return stage_.data();
 }
 
-void StrongholdEngine::encode_slot(LayerState& st, const float* src,
-                                   std::size_t offset, std::size_t n) {
-  tensor::bf16* dst = slot_b16(st) + offset;
+void StrongholdEngine::encode_bf16(const LayerState& st, const float* src,
+                                   tensor::bf16* dst, std::size_t n,
+                                   std::uint64_t event) const {
   if (cfg_.window_rounding == tensor::Rounding::stochastic) {
-    // One fresh, deterministic stream per encode event: encodes of the same
-    // layer are serialized (fetch by ready-future, grad encode by barriers,
-    // update encode after the grad encode), so the counter orders them.
-    tensor::Rng rng(tensor::mix_seed(cfg_.rounding_seed, st.index,
-                                     st.rng_seq++));
+    tensor::Rng rng(tensor::mix_seed(cfg_.rounding_seed, st.index, event));
     tensor::convert_float_to_bf16_stochastic(src, dst, n, rng);
   } else {
     tensor::convert_float_to_bf16(src, dst, n);
@@ -437,13 +382,13 @@ void StrongholdEngine::encode_slot(LayerState& st, const float* src,
 void StrongholdEngine::refresh_device_copy(LayerState& st) {
   const auto params = static_cast<std::size_t>(st.params);
   if (!st.pinned_on_gpu && bf16_window()) {
-    encode_slot(st, st.cpu_params.data(), 0, params);
+    encode_bf16(st, st.cpu_params.data(), slot_b16(st), params,
+                param_event(st));
     std::fill_n(slot_b16(st) + params, params, tensor::bf16{0});
     return;
   }
   float* buf = slot_f32(st);
   std::memcpy(buf, st.cpu_params.data(), params * sizeof(float));
-  if (cfg_.fp16) tensor::quantize_fp16_inplace(buf, params);
   std::fill_n(buf + params, params, 0.0f);
 }
 
@@ -556,11 +501,6 @@ void StrongholdEngine::evict_after_backward(LayerState& st) {
       }
     } else {
       float* g = reinterpret_cast<float*>(slot) + params;
-      // FP16 wire format: the gradients cross the link rounded to half
-      // precision; overflow (inf after rounding) triggers a skipped step.
-      if (cfg_.fp16) {
-        quantize_grads_and_check(g, st.params);
-      }
       // First micro-step overwrites the CPU-side gradient accumulator;
       // later ones accumulate (gradient accumulation cycles).
       if (overwrite) {
@@ -572,7 +512,7 @@ void StrongholdEngine::evict_after_backward(LayerState& st) {
     const std::size_t wire = wire_param_bytes(st.params);
     throttle_sleep(static_cast<double>(wire), rate);
     if (prof != nullptr) prof->t_g2c = now_seconds() - t0;
-    trace_span("d2h", "g", t0, now_seconds());
+    obs::span("d2h", "g", t0, now_seconds());
     if (clip) {
       grad_sumsq_[st.index] =
           tensor::dot(st.cpu_grads.data(), st.cpu_grads.data(), st.params);
@@ -585,30 +525,16 @@ void StrongholdEngine::evict_after_backward(LayerState& st) {
   });
   if (!accum_final_) return;  // mid-cycle: accumulate only, no update
   // Concurrent CPU-side update (Section III-E1), then NVMe write-back. With
-  // clipping or loss scaling, the update waits behind the per-step gate
-  // (clip_ready_ resolves once every gradient has drained and the norm /
-  // overflow verdict exists).
+  // clipping, the update waits behind the per-step gate (clip_ready_
+  // resolves once every gradient has drained and the global norm exists).
   auto post = [this, &st] { store_.write_back(st.index); };
-  if (update_gate_active()) {
-    // Capture THIS iteration's gate object: a late-running update must not
-    // observe the next iteration's reset scale/skip.
-    auto gate = gate_state_;
-    opts_.submit(
-        st, clip_ready_, post, current_lr_,
-        [gate] { return gate->scale.load(); },
-        [gate] { return gate->skip.load(); });
+  if (clipping()) {
+    // Capture THIS iteration's clip factor: a late-running update must not
+    // observe the next iteration's reset value.
+    opts_.submit(st, clip_ready_, post, current_lr_,
+                 [clip = clip_scale_] { return clip->load(); });
   } else {
     opts_.submit(st, copied, post, current_lr_);
-  }
-}
-
-void StrongholdEngine::quantize_grads_and_check(float* grads, std::int64_t n) {
-  tensor::quantize_fp16_inplace(grads, static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (!std::isfinite(grads[i])) {
-      overflow_.store(true, std::memory_order_relaxed);
-      return;
-    }
   }
 }
 
@@ -618,42 +544,29 @@ void StrongholdEngine::update_resident_layer(LayerState& st) {
   // CPU master; on the final micro-step the GPU-resident parameter copy is
   // updated in place and the master synced asynchronously.
   const auto params = static_cast<std::size_t>(st.params);
+  float* g;
   if (bf16_window()) {
     // The executor encoded the reduced FP32 gradients into the slot's BF16
     // grad half; decode into the staging buffer, then accumulate in FP32.
-    float* g = stage_.data() + max_block_params_;
+    g = stage_.data() + max_block_params_;
     tensor::convert_bf16_to_float(slot_b16(st) + params, g, params);
-    if (accum_first_) {
-      std::copy_n(g, params, st.cpu_grads.data());
-    } else {
-      tensor::axpy(1.0f, g, st.cpu_grads.data(), st.params);
-    }
   } else {
-    float* g = slot_f32(st) + params;
-    if (cfg_.fp16) quantize_grads_and_check(g, st.params);
-    if (accum_first_) {
-      std::copy_n(g, params, st.cpu_grads.data());
-    } else {
-      tensor::axpy(1.0f, g, st.cpu_grads.data(), st.params);
-    }
+    g = slot_f32(st) + params;
+  }
+  if (accum_first_) {
+    std::copy_n(g, params, st.cpu_grads.data());
+  } else {
+    tensor::axpy(1.0f, g, st.cpu_grads.data(), st.params);
   }
   if (!accum_final_) return;
   auto body = [this, &st, params] {
     if (bf16_window()) {
-      // The FP32 master is authoritative; the GPU copy is re-quantized on
-      // write-back, exactly like a fresh fault-in.
+      // The FP32 master is authoritative; the GPU copy is re-encoded from
+      // it, exactly like a fresh fault-in of the new version.
       opts_.update_now(st, st.cpu_params.data(), st.cpu_grads.data(),
                        current_lr_);
-      encode_slot(st, st.cpu_params.data(), 0, params);
-      st.update_done =
-          d2h_.run_async([this, &st] { store_.write_back(st.index); });
-    } else if (cfg_.fp16) {
-      float* slot = slot_f32(st);
-      // The FP32 master is authoritative; the GPU copy is refreshed as FP16.
-      opts_.update_now(st, st.cpu_params.data(), st.cpu_grads.data(),
-                       current_lr_);
-      std::memcpy(slot, st.cpu_params.data(), params * sizeof(float));
-      tensor::quantize_fp16_inplace(slot, params);
+      encode_bf16(st, st.cpu_params.data(), slot_b16(st), params,
+                  param_event(st));
       st.update_done =
           d2h_.run_async([this, &st] { store_.write_back(st.index); });
     } else {
@@ -665,55 +578,36 @@ void StrongholdEngine::update_resident_layer(LayerState& st) {
       });
     }
   };
-  if (update_gate_active()) {
-    if (clipping()) {
-      grad_sumsq_[st.index] =
-          tensor::dot(st.cpu_grads.data(), st.cpu_grads.data(), st.params);
-    }
-    deferred_updates_.push_back([this, &st, body, gate = gate_state_] {
-      if (gate->skip.load()) return;
-      const float s = gate->scale.load();
-      if (s != 1.0f) tensor::scale(s, st.cpu_grads.data(), st.params);
-      body();
-    });
-  } else {
-    body();
-  }
+  defer_until_clipped(st, body);
 }
 
 void StrongholdEngine::apply_pinned_update(LayerState& st, float* buffer) {
   const auto n = static_cast<std::size_t>(st.params);
-  if (cfg_.fp16) quantize_grads_and_check(buffer + n, st.params);
   if (accum_first_) {
     std::copy_n(buffer + n, n, st.cpu_grads.data());
   } else {
     tensor::axpy(1.0f, buffer + n, st.cpu_grads.data(), st.params);
   }
   if (!accum_final_) return;
-  auto body = [this, &st, buffer, n] {
-    if (cfg_.fp16) {
-      opts_.update_now(st, st.cpu_params.data(), st.cpu_grads.data(),
-                       current_lr_);
-      std::memcpy(buffer, st.cpu_params.data(), n * sizeof(float));
-      tensor::quantize_fp16_inplace(buffer, n);
-    } else {
-      opts_.update_now(st, buffer, st.cpu_grads.data(), current_lr_);
-    }
-  };
-  if (update_gate_active()) {
-    if (clipping()) {
-      grad_sumsq_[st.index] =
-          tensor::dot(st.cpu_grads.data(), st.cpu_grads.data(), st.params);
-    }
-    deferred_updates_.push_back([this, &st, body, gate = gate_state_] {
-      if (gate->skip.load()) return;
-      const float s = gate->scale.load();
-      if (s != 1.0f) tensor::scale(s, st.cpu_grads.data(), st.params);
-      body();
-    });
-  } else {
-    body();
+  defer_until_clipped(st, [this, &st, buffer] {
+    opts_.update_now(st, buffer, st.cpu_grads.data(), current_lr_);
+  });
+}
+
+void StrongholdEngine::defer_until_clipped(LayerState& st,
+                                           std::function<void()> update) {
+  if (!clipping()) {
+    update();
+    return;
   }
+  grad_sumsq_[st.index] =
+      tensor::dot(st.cpu_grads.data(), st.cpu_grads.data(), st.params);
+  deferred_updates_.push_back(
+      [&st, update = std::move(update), clip = clip_scale_] {
+        const float s = clip->load();
+        if (s != 1.0f) tensor::scale(s, st.cpu_grads.data(), st.params);
+        update();
+      });
 }
 
 void StrongholdEngine::begin_iteration_lr_and_clip() {
@@ -732,46 +626,24 @@ void StrongholdEngine::begin_iteration_lr_and_clip() {
       cfg_.lr_schedule
           ? cfg_.lr_schedule(static_cast<std::int64_t>(iterations / accum) + 1)
           : -1.0f;
-  if (cfg_.fp16 && accum_first_) overflow_.store(false);
-  if (!update_gate_active() || !accum_final_) return;
+  if (!clipping() || !accum_final_) return;
   grad_sumsq_.assign(store_.size(), 0.0);
   deferred_updates_.clear();
-  gate_state_ = std::make_shared<GateState>();  // fresh per-iteration gate
+  clip_scale_ = std::make_shared<std::atomic<float>>(1.0f);  // per iteration
   clip_promise_ = std::promise<void>();
   clip_ready_ = clip_promise_.get_future().share();
 }
 
 void StrongholdEngine::finalize_clipped_updates() {
-  if (!update_gate_active() || !accum_final_) return;
-  // Every evicted layer's gradient must have drained before the norm or the
-  // overflow verdict exists.
+  if (!clipping() || !accum_final_) return;
+  // Every evicted layer's gradient must have drained before the norm exists.
   d2h_.wait_all();
-
-  const float loss_scale = cfg_.fp16 ? scaler_.scale() : 1.0f;
-  bool skip = false;
-  if (cfg_.fp16) {
-    skip = !scaler_.update(overflow_.load());
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.loss_scale = scaler_.scale();
-    if (skip) ++stats_.skipped_updates;
+  double total = 0.0;
+  for (double s : grad_sumsq_) total += s;
+  const double norm = std::sqrt(total);
+  if (norm > cfg_.clip_grad_norm) {
+    clip_scale_->store(static_cast<float>(cfg_.clip_grad_norm / norm));
   }
-
-  // Combined gradient multiplier: undo the loss scale, then clip against the
-  // UNSCALED norm. grads are currently scaled by loss_scale, so the norm of
-  // the true gradient is norm_scaled / loss_scale and the multiplier for a
-  // clipped step is clip / norm_scaled.
-  float combined = 1.0f / loss_scale;
-  if (!skip && clipping()) {
-    double total = 0.0;
-    for (double s : grad_sumsq_) total += s;
-    const double norm_scaled = std::sqrt(total);
-    const double norm = norm_scaled / loss_scale;
-    if (norm > cfg_.clip_grad_norm) {
-      combined = static_cast<float>(cfg_.clip_grad_norm / norm_scaled);
-    }
-  }
-  gate_state_->scale.store(combined);
-  gate_state_->skip.store(skip);
   clip_promise_.set_value();  // releases the queued asynchronous updates
   for (auto& update : deferred_updates_) update();
   deferred_updates_.clear();
@@ -848,13 +720,11 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
   std::vector<float> losses(cfg_.num_executors, 0.0f);
   // Micro-batch splitting across executors and gradient-accumulation cycles
   // both average: the applied gradient is the mean over the whole effective
-  // batch. FP16 additionally multiplies by the dynamic loss scale so small
-  // gradients survive the half-precision wire format.
+  // batch.
   const float grad_scale =
-      (cfg_.fp16 ? scaler_.scale() : 1.0f) /
-      static_cast<float>(
-          execs * static_cast<std::int64_t>(
-                      std::max<std::size_t>(cfg_.grad_accumulation, 1)));
+      1.0f / static_cast<float>(
+                 execs * static_cast<std::int64_t>(
+                             std::max<std::size_t>(cfg_.grad_accumulation, 1)));
   const bool profiling = !window_frozen_;
 
   auto reduce_grads_into = [&](float* dst, std::size_t params) {
@@ -913,7 +783,7 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
       if (e == 0 && profiling) {
         profiles_[b - 1].t_fp += now_seconds() - t0;
       }
-      if (e == 0) trace_span("gpu", "f", t0, now_seconds());
+      if (e == 0) obs::span("gpu", "f", t0, now_seconds());
       bar.arrive_and_wait();
       // Per-executor FP grads are unused; nothing to reduce here. Eviction:
       // recycle the computed layer when a future layer still needs a slot;
@@ -960,10 +830,9 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
         if (b > window_) prefetch(b - window_);
         // NVMe optimizer tier: issue the tier read of this layer's moments
         // now, so it overlaps the backward compute below and the update task
-        // finds them staged. Skipped under the clip/fp16 gate — the update
-        // may be skipped wholesale, and a lease held across the gate could
-        // starve the staging ring.
-        if (accum_final_ && !update_gate_active()) opts_.prefetch_moments(st);
+        // finds them staged. Skipped under the clip gate — a lease held
+        // across the gate could starve the staging ring.
+        if (accum_final_ && !clipping()) opts_.prefetch_moments(st);
         // Page this block's spilled activation checkpoint back before its
         // backward re-runs the forward from it.
         if (act_spill_enabled_) restore_spilled_activation(b);
@@ -977,7 +846,7 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
       if (e == 0 && profiling) {
         profiles_[b - 1].t_bp += now_seconds() - t0;
       }
-      if (e == 0) trace_span("gpu", "b", t0, now_seconds());
+      if (e == 0) obs::span("gpu", "b", t0, now_seconds());
       bar.arrive_and_wait();
       if (e == 0) {
         // Gradient all-reduce across executors into the GPU buffer
@@ -993,7 +862,8 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
             cfg_.grad_reducer(st.index, gsum,
                               static_cast<std::int64_t>(params));
           }
-          encode_slot(st, gsum, params, params);
+          encode_bf16(st, gsum, slot_b16(st) + params, params,
+                      2 * static_cast<std::uint64_t>(global_step) + 1);
         } else {
           reduce_grads_into(slot_f32(st) + params, params);
           if (cfg_.grad_reducer) {
@@ -1158,15 +1028,14 @@ void StrongholdEngine::quiesce_and_sync_masters() {
       store_.fault_in(i).wait();
     }
   }
-  // In FP32 mode the pinned layers are updated in place on the GPU; pull
-  // them back. In FP16 mode the FP32 masters are authoritative (the pinned
-  // buffers only hold the half-rounded compute copies).
-  if (!cfg_.fp16) {
-    for (std::size_t i : {std::size_t{0}, head_index()}) {
-      LayerState& st = store_.state(i);
-      std::memcpy(st.cpu_params.data(), slot_f32(st),
-                  sizeof(float) * static_cast<std::size_t>(st.params));
-    }
+  sync_pinned_masters();
+}
+
+void StrongholdEngine::sync_pinned_masters() {
+  for (std::size_t i : {std::size_t{0}, head_index()}) {
+    LayerState& st = store_.state(i);
+    std::memcpy(st.cpu_params.data(), slot_f32(st),
+                sizeof(float) * static_cast<std::size_t>(st.params));
   }
 }
 
@@ -1298,40 +1167,21 @@ void StrongholdEngine::snapshot_params(std::vector<float>& out) {
   }
 }
 
-void StrongholdEngine::save_checkpoint(const std::string& path) {
-  quiesce_and_sync_masters();
-  write_checkpoint(path, store_);
-}
-
-void StrongholdEngine::load_checkpoint(const std::string& path) {
-  quiesce_and_sync_masters();
-  read_checkpoint(path, store_);
-  // Refresh every GPU-resident copy from the restored masters, re-applying
-  // the wire-format rounding a fresh fetch would have (fp16/bf16).
-  for (std::size_t i = 0; i < store_.size(); ++i) {
-    LayerState& st = store_.state(i);
-    if (st.gpu_slot == nullptr) continue;
-    refresh_device_copy(st);
-    if (st.swap_backed) store_.write_back(i);
-  }
-  // Swap-backed layers that are not resident also need their tier refreshed.
-  if (swap_ != nullptr) {
-    for (std::size_t i = 0; i < store_.size(); ++i) {
-      LayerState& st = store_.state(i);
-      if (st.swap_backed && st.gpu_slot == nullptr) store_.write_back(i);
-    }
-  }
-}
-
 namespace {
 /// Shape guard stored in every snapshot: restoring into a different model
-/// geometry or precision mode is a typed error, not silent corruption.
+/// geometry is a typed error, not silent corruption. The layout is part of
+/// the on-disk format. `fp16` is always 0: a snapshot with it set came from
+/// a run in the retired FP16 wire mode and is rejected. Dropping the word
+/// would move grad_accumulation and reject every generation written while
+/// the mode existed.
 struct CkptGeometry {
   std::uint64_t layers = 0;
   std::uint64_t total_params = 0;
   std::uint32_t fp16 = 0;
   std::uint32_t grad_accumulation = 1;
 };
+static_assert(sizeof(CkptGeometry) == 24 &&
+              offsetof(CkptGeometry, grad_accumulation) == 20);
 }  // namespace
 
 ckpt::Snapshot StrongholdEngine::capture_snapshot() {
@@ -1346,13 +1196,7 @@ ckpt::Snapshot StrongholdEngine::capture_snapshot() {
   d2h_.wait_all();
   h2d_.wait_all();
   if (swap_ != nullptr) swap_->wait_all();
-  if (!cfg_.fp16) {
-    for (std::size_t i : {std::size_t{0}, head_index()}) {
-      LayerState& st = store_.state(i);
-      std::memcpy(st.cpu_params.data(), slot_f32(st),
-                  sizeof(float) * static_cast<std::size_t>(st.params));
-    }
-  }
+  sync_pinned_masters();
 
   std::size_t iterations;
   {
@@ -1369,7 +1213,6 @@ ckpt::Snapshot StrongholdEngine::capture_snapshot() {
   snap.step = iterations;
   CkptGeometry geom;
   geom.layers = store_.size();
-  geom.fp16 = cfg_.fp16 ? 1 : 0;
   geom.grad_accumulation = static_cast<std::uint32_t>(accum);
   std::vector<std::int64_t> steps(store_.size());
   for (std::size_t i = 0; i < store_.size(); ++i) {
@@ -1388,9 +1231,6 @@ ckpt::Snapshot StrongholdEngine::capture_snapshot() {
                        steps.size() * sizeof(std::int64_t));
   snap.blobs.put("engine.geometry", geom);
   snap.blobs.put("engine.iterations", static_cast<std::uint64_t>(iterations));
-  snap.blobs.put("engine.scaler", scaler_.save_state());
-  snap.blobs.put("engine.overflow",
-                 static_cast<std::uint32_t>(overflow_.load() ? 1 : 0));
   if (cfg_.ckpt_extra_save) cfg_.ckpt_extra_save(snap.blobs);
   return snap;
 }
@@ -1403,7 +1243,6 @@ void StrongholdEngine::restore_snapshot(const ckpt::Snapshot& snap) {
   const std::size_t accum = std::max<std::size_t>(cfg_.grad_accumulation, 1);
   CkptGeometry want;
   want.layers = store_.size();
-  want.fp16 = cfg_.fp16 ? 1 : 0;
   want.grad_accumulation = static_cast<std::uint32_t>(accum);
   for (std::size_t i = 0; i < store_.size(); ++i) {
     want.total_params +=
@@ -1481,18 +1320,16 @@ void StrongholdEngine::restore_snapshot(const ckpt::Snapshot& snap) {
     st.step = steps[i];
   }
 
-  scaler_.load_state(snap.blobs.get<LossScaler::State>("engine.scaler"));
-  overflow_.store(snap.blobs.get<std::uint32_t>("engine.overflow") != 0);
+  // Snapshots written while the FP16 wire mode existed also carry
+  // engine.scaler and engine.overflow blobs; they are ignored.
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.iterations = static_cast<std::size_t>(
         snap.blobs.get<std::uint64_t>("engine.iterations"));
-    stats_.loss_scale = scaler_.scale();
   }
 
   // Refresh every GPU-resident copy (and the swap tier) from the restored
-  // masters, exactly as load_checkpoint does — plus the wire-format rounding
-  // (fp16/bf16) that a freshly fetched layer would carry.
+  // masters, with the bf16 encoding a fresh fetch of them would carry.
   for (std::size_t i = 0; i < store_.size(); ++i) {
     LayerState& st = store_.state(i);
     if (st.gpu_slot == nullptr) continue;
@@ -1602,14 +1439,12 @@ void StrongholdEngine::export_metrics(obs::MetricsSnapshot& out) const {
           n(s.d2h_bytes) / n(std::max<std::size_t>(s.iterations, 1)),
           "bytes");
   out.add("engine.d2h_queue_depth", n(d2h_.queue_depth()));
-  // True wire bytes as seen by the links themselves (dtype-honest: fp16 and
-  // bf16 both report 2 bytes/element).
+  // True wire bytes as seen by the links themselves (dtype-honest: bf16
+  // reports 2 bytes/element).
   out.add("engine.h2d_link_bytes", n(h2d_.bytes_transferred()), "bytes");
   out.add("engine.d2h_link_bytes", n(d2h_.bytes_transferred()), "bytes");
   out.add("engine.window_elem_bytes", n(elem_bytes_), "bytes");
   out.add("engine.swap_backed_layers", n(s.swap_backed_layers), "layers");
-  out.add("engine.loss_scale", s.loss_scale, "");
-  out.add("engine.skipped_updates", n(s.skipped_updates));
   out.add("engine.ckpt_snapshots", n(s.ckpt_snapshots));
   out.add("engine.ckpt_last_gasp", n(s.ckpt_last_gasp));
   out.add("optimizer.updates", n(s.optimizer_updates));

@@ -36,7 +36,6 @@
 
 #include "ckpt/checkpointer.hpp"
 #include "core/layer_store.hpp"
-#include "core/loss_scaler.hpp"
 #include "core/slot_allocator.hpp"
 #include "core/optimizer_pool.hpp"
 #include "core/window_model.hpp"
@@ -47,7 +46,6 @@
 #include "obs/metrics.hpp"
 #include "optim/optimizer.hpp"
 #include "optim/schedule.hpp"
-#include "sim/trace.hpp"
 #include "storage/swap_file.hpp"
 #include "tensor/dtype.hpp"
 
@@ -102,12 +100,6 @@ struct EngineConfig {
   /// applies them every `grad_accumulation`-th call. Equivalent to training
   /// with a grad_accumulation-times larger batch.
   std::size_t grad_accumulation = 1;
-  /// Mixed precision: parameters and gradients move across the CPU<->GPU
-  /// link in FP16 (compute stays FP32 on FP16-rounded values); FP32 masters
-  /// and optimizer state live on the CPU; dynamic loss scaling skips
-  /// overflowed steps [12].
-  bool fp16 = false;
-  LossScalerConfig loss_scaler{};
   /// Element encoding of the GPU working window (block slots and their
   /// CPU<->GPU transfers). With bf16, slots genuinely store 2-byte elements:
   /// fault-in encodes the FP32 master to bf16, compute runs FP32 on a
@@ -115,12 +107,15 @@ struct EngineConfig {
   /// the CPU optimizer updates FP32 masters — which stay the only persisted
   /// truth (checkpoints/swap are dtype-blind). Halves window bytes and PCIe
   /// traffic; bf16 keeps the f32 exponent range so no loss scaling is
-  /// needed (mutually exclusive with fp16). The SH_WINDOW_DTYPE environment
-  /// variable ("f32"/"bf16") overrides this at engine construction.
+  /// needed. The SH_WINDOW_DTYPE environment variable ("f32"/"bf16")
+  /// overrides this at engine construction.
   tensor::DType window_dtype = tensor::DType::f32;
   /// How f32 -> bf16 encodes round: nearest-even (default) or stochastic
-  /// (unbiased; deterministic per (rounding_seed, layer, event)). Overridden
-  /// by SH_WINDOW_ROUNDING ("nearest_even"/"stochastic") at construction.
+  /// (unbiased). Stochastic streams are keyed on state every engine agrees
+  /// on: a layer's parameters on (rounding_seed, layer, 2 * optimizer step),
+  /// its gradients on (rounding_seed, layer, 2 * iteration + 1), so resumed
+  /// runs and rejoined DP ranks round bit-identically. Overridden by
+  /// SH_WINDOW_ROUNDING ("nearest_even"/"stochastic") at construction.
   tensor::Rounding window_rounding = tensor::Rounding::nearest_even;
   /// Seed for the stochastic-rounding streams.
   std::uint64_t rounding_seed = 0x57484F4C44ull;
@@ -154,10 +149,6 @@ struct EngineConfig {
   /// (Sections III-E2, VI-D2). Called on the controlling executor's thread.
   std::function<void(std::size_t layer_index, float* grads, std::int64_t n)>
       grad_reducer{};
-  /// Records a wall-clock execution timeline (compute / h2d / d2h / cpu-opt
-  /// spans) retrievable via trace() — the runtime counterpart of the paper's
-  /// Figure 4 profiling trace.
-  bool record_trace = false;
   /// Crash-consistent checkpointing (sh::ckpt). An empty `ckpt.dir` disables
   /// it; SH_CKPT_* environment variables override at construction. With
   /// `ckpt.every_n_steps` set, the engine captures a snapshot at that cadence
@@ -212,8 +203,6 @@ struct EngineStats {
   /// compatibility). Includes soft-charged activation/KV bytes, so it may
   /// exceed gpu_memory_bytes when a pass overcommits gracefully.
   std::size_t gpu_high_water_bytes = 0;
-  float loss_scale = 1.0f;          // fp16: current dynamic loss scale
-  std::size_t skipped_updates = 0;  // fp16: steps dropped due to overflow
   std::size_t ckpt_snapshots = 0;   // training-state captures taken
   std::size_t ckpt_last_gasp = 0;   // checkpoints triggered by a tier fault
   /// Full per-region accounting of the device arena (window / kv /
@@ -298,21 +287,13 @@ class StrongholdEngine {
   /// updates first.
   void snapshot_params(std::vector<float>& out);
 
-  /// Persists the full training state (params + optimizer + step counters)
-  /// after quiescing all in-flight work.
-  void save_checkpoint(const std::string& path);
-
-  /// Restores a checkpoint saved by save_checkpoint; training resumes
-  /// exactly where it left off. GPU-resident copies are refreshed.
-  void load_checkpoint(const std::string& path);
-
   /// Captures the complete training state as a CPU-side ckpt::Snapshot:
   /// FP32 master params + Adam moments for every layer (read from the CPU
   /// side of the window — no device drain), per-layer optimizer steps, the
   /// iteration counter (which also encodes the accumulation-cycle position),
-  /// loss-scaler state, mid-cycle gradient accumulators when between
-  /// optimizer updates, and anything the ckpt_extra_save hook adds. Resuming
-  /// from it continues the run bit-identically. Quiesces in-flight work.
+  /// mid-cycle gradient accumulators when between optimizer updates, and
+  /// anything the ckpt_extra_save hook adds. Resuming from it continues the
+  /// run bit-identically. Quiesces in-flight work.
   ckpt::Snapshot capture_snapshot();
 
   /// Installs a snapshot produced by capture_snapshot (possibly by another
@@ -351,11 +332,6 @@ class StrongholdEngine {
   mem::DeviceArena& device_arena() noexcept { return gpu_pool_; }
   const mem::DeviceArena& device_arena() const noexcept { return gpu_pool_; }
 
-  /// Wall-clock execution trace (only populated with record_trace). Call
-  /// after quiescing (end of a train_step is fine; spans from in-flight
-  /// background work land when it completes).
-  sim::Trace trace_snapshot() const;
-
  private:
   std::size_t num_blocks() const noexcept { return store_.size() - 2; }
   std::size_t head_index() const noexcept { return store_.size() - 1; }
@@ -365,6 +341,9 @@ class StrongholdEngine {
   /// Drains transfers/updates and pulls pinned-layer parameters back into
   /// the CPU masters so they are authoritative.
   void quiesce_and_sync_masters();
+  /// Copies the pinned embedding/head parameters (updated in place on the
+  /// GPU) back into their CPU masters. Call with updates drained.
+  void sync_pinned_masters();
   /// Evicts resident blocks outside the current head window and prefetches
   /// blocks 1..window — the canonical pass-start state. Handles residual
   /// residency from inference passes or window-size changes.
@@ -381,12 +360,11 @@ class StrongholdEngine {
   bool bf16_window() const noexcept {
     return cfg_.window_dtype == tensor::DType::bf16;
   }
-  /// Bytes one layer's parameters occupy on the CPU<->GPU wire (fp16 and
-  /// bf16 both halve them; they are mutually exclusive).
+  /// Bytes one layer's parameters occupy on the CPU<->GPU wire.
   std::size_t wire_param_bytes(std::int64_t params) const noexcept {
-    return static_cast<std::size_t>(params) * (cfg_.fp16 ? 2 : elem_bytes_);
+    return static_cast<std::size_t>(params) * elem_bytes_;
   }
-  /// f32 view of a block slot's parameter half (f32/fp16 windows only).
+  /// f32 view of a block slot's parameter half (f32 windows only).
   float* slot_f32(LayerState& st) noexcept {
     return reinterpret_cast<float*>(st.gpu_slot);
   }
@@ -395,13 +373,19 @@ class StrongholdEngine {
     return reinterpret_cast<tensor::bf16*>(st.gpu_slot);
   }
   /// BF16: decodes the slot's parameter half into the f32 compute staging
-  /// buffer and returns it; f32/fp16: returns the slot directly.
+  /// buffer and returns it; f32: returns the slot directly.
   float* bind_params_f32(LayerState& st);
-  /// Encodes `n` f32 values into the slot at element offset `offset`,
-  /// honouring the configured rounding mode (stochastic draws a fresh
-  /// deterministic stream per call). Only valid for bf16 windows.
-  void encode_slot(LayerState& st, const float* src, std::size_t offset,
-                   std::size_t n);
+  /// Encodes `n` f32 values to bf16 at `dst`, honouring the configured
+  /// rounding mode. Stochastic rounding draws the stream keyed on
+  /// (rounding_seed, layer, event); see EngineConfig::window_rounding.
+  void encode_bf16(const LayerState& st, const float* src, tensor::bf16* dst,
+                   std::size_t n, std::uint64_t event) const;
+  /// Rounding event of a layer's parameters: the master's version, so every
+  /// encode of an unchanged master (fetch, in-place update, restore) yields
+  /// the same bytes. Read only when no update of `st` is in flight.
+  static std::uint64_t param_event(const LayerState& st) noexcept {
+    return 2 * static_cast<std::uint64_t>(st.step);
+  }
   /// Refreshes a layer's device-resident copy from its FP32 master after a
   /// checkpoint restore (dtype-aware; pinned layers stay f32).
   void refresh_device_copy(LayerState& st);
@@ -411,14 +395,10 @@ class StrongholdEngine {
   /// Update path for the pinned embedding/head (direct, or deferred when
   /// gradient clipping awaits the global norm).
   void apply_pinned_update(LayerState& st, float* buffer);
+  /// Runs `update` now, or, under clipping, records the layer's squared
+  /// gradient norm and queues `update` behind this iteration's clip factor.
+  void defer_until_clipped(LayerState& st, std::function<void()> update);
   bool clipping() const noexcept { return cfg_.clip_grad_norm > 0.0f; }
-  /// Updates defer behind a per-step gate when they depend on whole-step
-  /// information: the global norm (clipping) or the overflow verdict (fp16).
-  bool update_gate_active() const noexcept {
-    return clipping() || cfg_.fp16;
-  }
-  /// FP16: quantise a freshly reduced gradient region and record overflow.
-  void quantize_grads_and_check(float* grads, std::int64_t n);
   void begin_iteration_lr_and_clip();
   void finalize_clipped_updates();
   void maybe_update_window();
@@ -463,8 +443,7 @@ class StrongholdEngine {
   /// 2*max_block_params_) the executor-reduced f32 gradients before they
   /// round onto the wire. Per-layer compute is barrier-serialised, so one
   /// buffer suffices; it is deliberately not charged to the window region
-  /// (it models the f32 compute view, as the fp16 path's in-place rounding
-  /// does).
+  /// (it models the f32 compute view).
   std::vector<float> stage_;
 
   // Pinned (always-resident) buffers for the first/last layer.
@@ -476,22 +455,16 @@ class StrongholdEngine {
   std::vector<LayerProfile> profiles_;
   std::size_t profile_samples_ = 0;
 
-  // Per-iteration learning rate, accumulation, clipping and loss-scaling
-  // machinery.
+  // Per-iteration learning rate, accumulation and clipping machinery.
   float current_lr_ = -1.0f;
   std::size_t micro_index_ = 0;   // position within the accumulation cycle
   bool accum_first_ = true;       // first micro-step: overwrite accumulators
   bool accum_final_ = true;       // last micro-step: apply the updates
-  LossScaler scaler_;
-  std::atomic<bool> overflow_{false};
-  /// Per-iteration gate verdict. Asynchronous update tasks capture the
+  /// Per-iteration clip factor. Asynchronous update tasks capture the
   /// shared_ptr of THEIR iteration, so a late-running update never observes
-  /// the next iteration's reset values.
-  struct GateState {
-    std::atomic<float> scale{1.0f};
-    std::atomic<bool> skip{false};
-  };
-  std::shared_ptr<GateState> gate_state_ = std::make_shared<GateState>();
+  /// the next iteration's reset value.
+  std::shared_ptr<std::atomic<float>> clip_scale_ =
+      std::make_shared<std::atomic<float>>(1.0f);
   std::shared_future<void> clip_ready_;
   std::promise<void> clip_promise_;
   std::vector<double> grad_sumsq_;           // per layer unit, layer order
@@ -520,15 +493,6 @@ class StrongholdEngine {
 
   mutable std::mutex stats_mu_;
   EngineStats stats_;
-
-  // Wall-clock tracing. trace_span always forwards to the global obs
-  // recorder (a no-op unless obs is enabled) and additionally appends to the
-  // engine-local sim::Trace when record_trace is set.
-  void trace_span(const char* resource, const char* label, double t0,
-                  double t1);
-  mutable std::mutex trace_mu_;
-  sim::Trace trace_;
-  double trace_epoch_ = 0.0;
   std::uint64_t obs_provider_id_ = 0;
 };
 

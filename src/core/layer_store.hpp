@@ -43,10 +43,6 @@ struct LayerState {
   std::byte* gpu_slot = nullptr;
   std::shared_future<void> ready;        // prefetch completion
   std::shared_future<void> update_done;  // optimizer-step completion
-  // Stochastic-rounding event counter: each encode of this layer draws a
-  // fresh Rng stream seeded from (config seed, layer index, rng_seq), so
-  // rounding is deterministic for a given issue order.
-  std::uint64_t rng_seq = 0;
 };
 
 class LayerStore {

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "tensor/half.hpp"
 #include "tensor/ops.hpp"
 
 namespace sh::core {
@@ -15,7 +14,6 @@ MonolithicTrainer::MonolithicTrainer(nn::GptModel& model,
     : model_(model),
       adam_(adam),
       options_(std::move(options)),
-      scaler_(options_.loss_scaler),
       store_(model, adam_.state_per_param()) {}
 
 MonolithicTrainer::MonolithicTrainer(nn::GptModel& model,
@@ -28,14 +26,6 @@ MonolithicTrainer::MonolithicTrainer(nn::GptModel& model,
 
 void MonolithicTrainer::init_params(std::uint64_t seed) {
   store_.init_params(seed);
-  if (options_.fp16) {
-    staged_params_.resize(store_.size());
-    for (std::size_t i = 0; i < store_.size(); ++i) {
-      staged_params_[i] = store_.state(i).cpu_params;
-      tensor::quantize_fp16_inplace(staged_params_[i].data(),
-                                    staged_params_[i].size());
-    }
-  }
 }
 
 float MonolithicTrainer::train_step(const data::Batch& batch) {
@@ -44,51 +34,27 @@ float MonolithicTrainer::train_step(const data::Batch& batch) {
   const nn::BatchShape shape{bs, seq, /*training=*/true,
                              static_cast<std::int64_t>(iterations_),
                              /*row_offset=*/0};
-  const bool fp16 = options_.fp16;
 
   for (std::size_t i = 0; i < store_.size(); ++i) {
     LayerState& st = store_.state(i);
     std::fill(st.cpu_grads.begin(), st.cpu_grads.end(), 0.0f);
-    // FP16: compute on the half-rounded staged copy; FP32 masters are only
-    // touched by the optimizer.
-    float* params = fp16 ? staged_params_[i].data() : st.cpu_params.data();
-    st.layer->bind(params, st.cpu_grads.data());
+    st.layer->bind(st.cpu_params.data(), st.cpu_grads.data());
   }
 
   tensor::Tensor logits = model_.forward(batch.ids, shape);
   tensor::Tensor grad_logits;
   const float loss = nn::lm_loss(logits, batch.targets, grad_logits);
-  const float loss_scale = fp16 ? scaler_.scale() : 1.0f;
-  if (loss_scale != 1.0f) {
-    tensor::scale(loss_scale, grad_logits.data(), grad_logits.numel());
-  }
   model_.backward(grad_logits, shape);
 
-  // FP16 wire format + overflow detection, as in the engine's d2h path.
-  bool overflow = false;
-  if (fp16) {
-    for (std::size_t i = 0; i < store_.size(); ++i) {
-      LayerState& st = store_.state(i);
-      tensor::quantize_fp16_inplace(st.cpu_grads.data(), st.cpu_grads.size());
-      for (float g : st.cpu_grads) {
-        if (!std::isfinite(g)) {
-          overflow = true;
-          break;
-        }
-      }
-    }
-  }
-  const bool skip = fp16 && !scaler_.update(overflow);
   const float lr = options_.lr_schedule
                        ? options_.lr_schedule(
                              static_cast<std::int64_t>(iterations_) + 1)
                        : -1.0f;
   ++iterations_;
-  if (skip) return loss;
 
-  // Combined gradient multiplier: undo the loss scale, clip on the unscaled
-  // norm (per-layer sums in layer order, matching the engine).
-  float combined = 1.0f / loss_scale;
+  // Global-norm clipping (per-layer sums in layer order, matching the
+  // engine).
+  float clip = 1.0f;
   if (options_.clip_grad_norm > 0.0f) {
     double total = 0.0;
     for (std::size_t i = 0; i < store_.size(); ++i) {
@@ -96,25 +62,18 @@ float MonolithicTrainer::train_step(const data::Batch& batch) {
       total += tensor::dot(st.cpu_grads.data(), st.cpu_grads.data(),
                            st.params);
     }
-    const double norm_scaled = std::sqrt(total);
-    if (norm_scaled / loss_scale > options_.clip_grad_norm) {
-      combined = static_cast<float>(options_.clip_grad_norm / norm_scaled);
+    const double norm = std::sqrt(total);
+    if (norm > options_.clip_grad_norm) {
+      clip = static_cast<float>(options_.clip_grad_norm / norm);
     }
   }
 
   for (std::size_t i = 0; i < store_.size(); ++i) {
     LayerState& st = store_.state(i);
-    if (combined != 1.0f) {
-      tensor::scale(combined, st.cpu_grads.data(), st.params);
-    }
+    if (clip != 1.0f) tensor::scale(clip, st.cpu_grads.data(), st.params);
     ++st.step;
     adam_.step(st.cpu_params.data(), st.cpu_grads.data(), st.cpu_opt.data(),
                st.step, st.params, lr);
-    if (fp16) {
-      staged_params_[i] = st.cpu_params;
-      tensor::quantize_fp16_inplace(staged_params_[i].data(),
-                                    staged_params_[i].size());
-    }
   }
   return loss;
 }

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/layer_store.hpp"
-#include "core/loss_scaler.hpp"
 #include "data/synthetic.hpp"
 #include "nn/gpt.hpp"
 #include "optim/optimizer.hpp"
@@ -19,12 +18,10 @@
 namespace sh::core {
 
 /// Options mirroring the engine's training features so the oracle covers
-/// every path: clipping, schedules and mixed precision.
+/// every path: clipping and schedules.
 struct TrainOptions {
   float clip_grad_norm = 0.0f;
   optim::LrSchedule lr_schedule{};
-  bool fp16 = false;
-  LossScalerConfig loss_scaler{};
 };
 
 class MonolithicTrainer {
@@ -48,18 +45,11 @@ class MonolithicTrainer {
 
   std::size_t iterations() const noexcept { return iterations_; }
 
-  /// FP16 statistics (loss scale, skipped steps).
-  const LossScaler& scaler() const noexcept { return scaler_; }
-
  private:
   nn::GptModel& model_;
   optim::Adam adam_;
   TrainOptions options_;
-  LossScaler scaler_;
   LayerStore store_;  // reused purely as the flat state container
-  // FP16: per-layer device-format (half-rounded) parameter copies the model
-  // computes on; the FP32 masters live in store_.
-  std::vector<std::vector<float>> staged_params_;
   std::size_t iterations_ = 0;
 };
 

@@ -99,26 +99,22 @@ std::shared_future<void> OptimizerPool::submit(LayerState& st,
                                                std::shared_future<void> after,
                                                std::function<void()> post_update,
                                                float lr,
-                                               std::function<float()> grad_scale,
-                                               std::function<bool()> skip_update) {
+                                               std::function<float()> grad_scale) {
   const std::size_t actor =
       next_actor_.fetch_add(1, std::memory_order_relaxed) % actors_.size();
   optim::Optimizer* opt = actors_[actor].get();
   in_flight_.fetch_add(1, std::memory_order_relaxed);
   auto fut = pool_.async([this, opt, &st, after, lr,
                           post = std::move(post_update),
-                          scale = std::move(grad_scale),
-                          skip = std::move(skip_update)] {
+                          scale = std::move(grad_scale)] {
     struct InFlight {
       std::atomic<std::size_t>& n;
       ~InFlight() { n.fetch_sub(1, std::memory_order_relaxed); }
     } in_flight_guard{in_flight_};
     if (after.valid()) after.wait();
-    if (skip && skip()) return;  // overflowed step: discard gradients
     const double t0 = wall_seconds();
     // Stage NVMe-resident moments. Acquisition is deliberately lazy (after
-    // the skip gate): a skipped step touches the tier not at all, and no
-    // staging buffer is held while waiting on the clip/overflow gate.
+    // `after`): no staging buffer is held while waiting on the clip gate.
     float* opt_state = st.cpu_opt.data();
     MomentLease* lease = nullptr;
     std::size_t lease_floats = 0;
@@ -155,9 +151,7 @@ std::shared_future<void> OptimizerPool::submit(LayerState& st,
       release_moments(lease, std::move(wb));
     }
     if (post) post();
-    const double t1 = wall_seconds();
-    obs::span("cpu-opt", "update", t0, t1);
-    if (observer_) observer_(t0, t1);
+    obs::span("cpu-opt", "update", t0, wall_seconds());
     completed_.fetch_add(1, std::memory_order_relaxed);
   });
   st.update_done = fut.share();

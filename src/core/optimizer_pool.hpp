@@ -35,14 +35,11 @@ class OptimizerPool {
   /// and applied to the gradients before the step (global-norm clipping —
   /// the factor is only known once every layer's gradient has landed).
   /// Returns the completion future and also stores it in `st.update_done`.
-  /// `skip_update`, when set and true at execution time, drops the step
-  /// entirely (dynamic loss scaling skips overflowed iterations).
   std::shared_future<void> submit(LayerState& st,
                                   std::shared_future<void> after = {},
                                   std::function<void()> post_update = {},
                                   float lr = -1.0f,
-                                  std::function<float()> grad_scale = {},
-                                  std::function<bool()> skip_update = {});
+                                  std::function<float()> grad_scale = {});
 
   /// Runs an update synchronously on the caller's thread (used for the
   /// GPU-pinned layers, whose update the paper performs on the GPU).
@@ -54,12 +51,6 @@ class OptimizerPool {
   /// Updates submitted but not yet finished (occupancy gauge).
   std::size_t in_flight() const noexcept { return in_flight_.load(); }
   std::size_t workers() const noexcept { return pool_.num_threads(); }
-
-  /// Observer invoked with (start, end) wall-clock seconds of every update —
-  /// used by the engine's execution tracer. Set before submitting work.
-  void set_update_observer(std::function<void(double, double)> observer) {
-    observer_ = std::move(observer);
-  }
 
   /// Enables NVMe-resident moment paging (ZeRO-Infinity-style optimizer
   /// offload): updates of `store`'s opt-tiered layers stage their Adam
@@ -107,7 +98,6 @@ class OptimizerPool {
   std::atomic<std::size_t> next_actor_{0};
   std::atomic<std::size_t> completed_{0};
   std::atomic<std::size_t> in_flight_{0};
-  std::function<void(double, double)> observer_;
 
   LayerStore* store_ = nullptr;  // non-null once the moment tier is enabled
   std::vector<MomentLease> leases_;

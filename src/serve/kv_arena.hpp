@@ -45,9 +45,9 @@ struct KvArenaConfig {
   /// Reservation granularity in tokens; capacities round up to a multiple.
   std::int64_t chunk_tokens = 16;
   /// Element encoding the KV bytes are priced in. The numeric caches stay
-  /// FP32 tensors (this is a simulation of device storage, like the
-  /// engine's fp16 mode); bf16 halves what each resident token charges
-  /// against the budget and the shared arena's "kv" region.
+  /// FP32 tensors (this is a simulation of device storage); bf16 halves
+  /// what each resident token charges against the budget and the shared
+  /// arena's "kv" region.
   tensor::DType dtype = tensor::DType::f32;
 };
 

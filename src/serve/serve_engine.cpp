@@ -85,7 +85,6 @@ std::vector<std::vector<float>> ServeEngine::step(
   const std::string label = "s" + std::to_string(slots.size()) + "/t" +
                             std::to_string(new_tokens);
   obs::span("serve", label, epoch_ + t0, epoch_ + t1);
-  trace_.record("serve", label, {t0, t1});
   return last_logits;
 }
 
@@ -94,7 +93,6 @@ void ServeEngine::record_request(std::uint64_t id, double submit_t,
   latency_hist_.record(finish_t - submit_t);
   const std::string label = "r" + std::to_string(id);
   obs::span("request", label, epoch_ + submit_t, epoch_ + finish_t);
-  trace_.record("request", label, {submit_t, finish_t});
 }
 
 double ServeEngine::latency_percentile(double q) const {

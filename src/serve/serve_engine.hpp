@@ -5,8 +5,8 @@
 // STRONGHOLD working window exactly once, and while a unit is resident it
 // runs EVERY in-flight sequence — prefills and single-token decodes mixed —
 // so the host->device transfer cost of a step is independent of the batch
-// size. Records wall-clock step spans and finished-request latency spans
-// into a sim::Trace, plus tokens/sec counters.
+// size. Records wall-clock step spans and finished-request latency spans on
+// the obs recorder's "serve" and "request" tracks, plus tokens/sec counters.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +16,6 @@
 #include "core/engine.hpp"
 #include "nn/decode_batch.hpp"
 #include "obs/metrics.hpp"
-#include "sim/trace.hpp"
 
 namespace sh::serve {
 
@@ -57,7 +56,7 @@ class ServeEngine {
   std::vector<std::vector<float>> step(std::span<const SeqInput> seqs);
 
   /// Records a finished request's [submit, finish] interval (seconds on this
-  /// engine's clock) as a trace span and a latency sample.
+  /// engine's clock) as a latency sample and a "request" span.
   void record_request(std::uint64_t id, double submit_t, double finish_t);
 
   /// Latency percentile in seconds over finished requests (q in [0, 1];
@@ -68,7 +67,6 @@ class ServeEngine {
   double now() const;
 
   const ServeEngineStats& stats() const noexcept { return stats_; }
-  const sim::Trace& trace() const noexcept { return trace_; }
 
  private:
   core::StrongholdEngine& engine_;
@@ -76,7 +74,6 @@ class ServeEngine {
   /// Finished-request latency distribution (obs::Histogram owns the one
   /// sort-and-interpolate percentile implementation).
   obs::Histogram latency_hist_;
-  sim::Trace trace_;
   double epoch_;
   std::uint64_t obs_provider_id_ = 0;
 };

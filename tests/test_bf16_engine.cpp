@@ -195,16 +195,6 @@ TEST(Bf16Window, StochasticRoundingIsDeterministicUnderFixedSeed) {
   EXPECT_NE(a.losses, c.losses);
 }
 
-TEST(Bf16Window, RejectsFp16Bf16Combination) {
-  const auto mcfg = tiny_config();
-  nn::GptModel model(mcfg);
-  EngineConfig cfg;
-  cfg.window = 2;
-  cfg.fp16 = true;
-  cfg.window_dtype = tensor::DType::bf16;
-  EXPECT_THROW(StrongholdEngine(model, cfg), std::invalid_argument);
-}
-
 TEST(Bf16Window, EnvVarOverridesDtypeAtConstruction) {
   ::setenv("SH_WINDOW_DTYPE", "bf16", 1);
   const auto mcfg = tiny_config();

@@ -1,11 +1,11 @@
-// Model checkpointing: save/resume must be exact, and the wall-clock
-// execution tracer must show real compute/transfer overlap.
+// Engine snapshots: capture/restore must resume exactly, and restoring while
+// layers are resident must refresh their device copies exactly as a fresh
+// fetch would encode them — under every window encoding.
 #include <gtest/gtest.h>
 
-#include <fstream>
+#include <string>
 #include <vector>
 
-#include "core/checkpoint.hpp"
 #include "core/engine.hpp"
 #include "data/synthetic.hpp"
 #include "testing/util.hpp"
@@ -21,61 +21,6 @@ nn::GptConfig tiny_config() {
   cfg.heads = 2;
   cfg.layers = 4;
   return cfg;
-}
-
-std::string tmp(const std::string& tag) {
-  return ::testing::TempDir() + "ckpt_" + tag + ".bin";
-}
-
-TEST(Checkpoint, SaveLoadRoundTripOnStore) {
-  const auto mcfg = tiny_config();
-  nn::GptModel model(mcfg);
-  LayerStore store(model, 2);
-  store.init_params(5);
-  store.state(1).step = 7;
-  store.state(1).cpu_opt[3] = 1.25f;
-  write_checkpoint(tmp("roundtrip"), store);
-
-  nn::GptModel model2(mcfg);
-  LayerStore store2(model2, 2);
-  store2.init_params(99);  // different weights, to be overwritten
-  read_checkpoint(tmp("roundtrip"), store2);
-  EXPECT_EQ(store2.state(1).step, 7);
-  EXPECT_EQ(store2.state(1).cpu_opt[3], 1.25f);
-  for (std::size_t i = 0; i < store.size(); ++i) {
-    sh::testing::expect_allclose(store2.state(i).cpu_params,
-                                 store.state(i).cpu_params, 0.0f, 0.0f);
-  }
-}
-
-TEST(Checkpoint, GeometryMismatchRejected) {
-  const auto mcfg = tiny_config();
-  nn::GptModel model(mcfg);
-  LayerStore store(model, 2);
-  store.init_params(1);
-  write_checkpoint(tmp("geom"), store);
-
-  auto other_cfg = mcfg;
-  other_cfg.layers = 5;
-  nn::GptModel other(other_cfg);
-  LayerStore other_store(other, 2);
-  EXPECT_THROW(read_checkpoint(tmp("geom"), other_store),
-               std::invalid_argument);
-}
-
-TEST(Checkpoint, MissingOrCorruptFileRejected) {
-  const auto mcfg = tiny_config();
-  nn::GptModel model(mcfg);
-  LayerStore store(model, 2);
-  EXPECT_THROW(read_checkpoint("/nonexistent/ckpt.bin", store),
-               std::runtime_error);
-  // Corrupt: wrong magic.
-  const std::string path = tmp("corrupt");
-  {
-    std::ofstream os(path, std::ios::binary);
-    os << "garbage";
-  }
-  EXPECT_THROW(read_checkpoint(path, store), std::runtime_error);
 }
 
 TEST(Checkpoint, ResumedEngineMatchesContinuousRun) {
@@ -95,19 +40,19 @@ TEST(Checkpoint, ResumedEngineMatchesContinuousRun) {
   std::vector<float> cont_params;
   cont.snapshot_params(cont_params);
 
-  // Interrupted run: 3 steps, save, load into a FRESH engine, 3 more.
-  const std::string path = tmp("resume");
+  // Interrupted run: 3 steps, capture, restore into a FRESH engine, 3 more.
+  ckpt::Snapshot snap;
   {
     nn::GptModel m2(mcfg);
     StrongholdEngine first(m2, cfg);
     first.init_params(42);
     for (int i = 0; i < 3; ++i) first.train_step(batches[static_cast<std::size_t>(i)]);
-    first.save_checkpoint(path);
+    snap = first.capture_snapshot();
   }
   nn::GptModel m3(mcfg);
   StrongholdEngine resumed(m3, cfg);
   resumed.init_params(0);  // wrong weights on purpose
-  resumed.load_checkpoint(path);
+  resumed.restore_snapshot(snap);
   std::vector<float> resumed_losses;
   for (int i = 3; i < 6; ++i) {
     resumed_losses.push_back(
@@ -124,7 +69,15 @@ TEST(Checkpoint, ResumedEngineMatchesContinuousRun) {
   sh::testing::expect_allclose(resumed_params, cont_params, 0.0f, 0.0f);
 }
 
-TEST(Checkpoint, LoadMidTrainingRefreshesResidentLayers) {
+struct WindowCase {
+  const char* name;
+  tensor::DType dtype;
+  tensor::Rounding rounding;
+};
+
+class CheckpointResident : public ::testing::TestWithParam<WindowCase> {};
+
+TEST_P(CheckpointResident, RestoreMidTrainingRefreshesResidentLayers) {
   const auto mcfg = tiny_config();
   data::SyntheticCorpus corpus(mcfg.vocab, 51);
   const auto b0 = corpus.next_batch(2, mcfg.max_seq);
@@ -133,62 +86,34 @@ TEST(Checkpoint, LoadMidTrainingRefreshesResidentLayers) {
   nn::GptModel m1(mcfg);
   EngineConfig cfg;
   cfg.window = 2;
+  cfg.window_dtype = GetParam().dtype;
+  cfg.window_rounding = GetParam().rounding;
   StrongholdEngine engine(m1, cfg);
   engine.init_params(7);
-  const std::string path = tmp("midload");
-  engine.save_checkpoint(path);  // state S0
+  const ckpt::Snapshot s0 = engine.capture_snapshot();
   const float loss_fresh = engine.train_step(b0);
-  (void)engine.train_step(b1);   // drift away from S0
-  engine.load_checkpoint(path);  // rewind to S0 while layers are resident
+  std::vector<float> params_fresh;
+  engine.snapshot_params(params_fresh);
+  (void)engine.train_step(b1);  // drift away from S0
+  engine.restore_snapshot(s0);  // rewind to S0 while layers are resident
   const float loss_again = engine.train_step(b0);
+  std::vector<float> params_again;
+  engine.snapshot_params(params_again);
   EXPECT_EQ(loss_again, loss_fresh);  // exact rewind
+  sh::testing::expect_allclose(params_again, params_fresh, 0.0f, 0.0f);
 }
 
-TEST(EngineTrace, RecordsOverlappingResources) {
-  const auto mcfg = tiny_config();
-  nn::GptModel model(mcfg);
-  EngineConfig cfg;
-  cfg.window = 1;
-  cfg.record_trace = true;
-  cfg.h2d_bytes_per_s = 8e6;  // slow enough for visible spans
-  cfg.d2h_bytes_per_s = 8e6;
-  StrongholdEngine engine(model, cfg);
-  engine.init_params(3);
-  data::SyntheticCorpus corpus(mcfg.vocab, 4);
-  for (int i = 0; i < 2; ++i) engine.train_step(corpus.next_batch(2, mcfg.max_seq));
-  std::vector<float> scratch;
-  engine.snapshot_params(scratch);  // quiesces in-flight background work
-
-  const auto trace = engine.trace_snapshot();
-  bool has_gpu = false, has_h2d = false, has_d2h = false, has_opt = false;
-  for (const auto& span : trace.spans()) {
-    has_gpu |= span.resource == "gpu";
-    has_h2d |= span.resource == "h2d";
-    has_d2h |= span.resource == "d2h";
-    has_opt |= span.resource == "cpu-opt";
-    EXPECT_GE(span.interval.duration(), 0.0);
-  }
-  EXPECT_TRUE(has_gpu);
-  EXPECT_TRUE(has_h2d);
-  EXPECT_TRUE(has_d2h);
-  EXPECT_TRUE(has_opt);
-  // Real asynchrony: some transfer time overlaps compute.
-  EXPECT_GT(trace.overlap_fraction("h2d", "gpu") +
-                trace.overlap_fraction("d2h", "gpu"),
-            0.0);
-}
-
-TEST(EngineTrace, DisabledByDefault) {
-  const auto mcfg = tiny_config();
-  nn::GptModel model(mcfg);
-  EngineConfig cfg;
-  cfg.window = 2;
-  StrongholdEngine engine(model, cfg);
-  engine.init_params(1);
-  data::SyntheticCorpus corpus(mcfg.vocab, 1);
-  engine.train_step(corpus.next_batch(2, mcfg.max_seq));
-  EXPECT_TRUE(engine.trace_snapshot().spans().empty());
-}
+INSTANTIATE_TEST_SUITE_P(
+    Windows, CheckpointResident,
+    ::testing::Values(
+        WindowCase{"f32", tensor::DType::f32, tensor::Rounding::nearest_even},
+        WindowCase{"bf16", tensor::DType::bf16,
+                   tensor::Rounding::nearest_even},
+        WindowCase{"bf16_sr", tensor::DType::bf16,
+                   tensor::Rounding::stochastic}),
+    [](const ::testing::TestParamInfo<WindowCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace sh::core

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <fstream>
@@ -532,18 +533,20 @@ TEST(EngineCkpt, MidAccumulationCycleSnapshotResumesBitIdentical) {
   sh::testing::expect_allclose(after.params, ref.params, 0.0f, 0.0f);
 }
 
-TEST(EngineCkpt, Fp16ResumeRestoresLossScalerState) {
+TEST(EngineCkpt, StochasticRoundingResumeIsBitIdentical) {
+  // Stochastic-rounding streams are keyed on state the snapshot carries
+  // (layer, optimizer step, iteration), not on how many encodes this engine
+  // happened to run, so a fresh engine resumes on the same bf16 bytes.
   const auto mcfg = tiny_config();
   core::EngineConfig base;
   base.window = 2;
-  base.fp16 = true;
-  base.loss_scaler.initial_scale = 256.0f;
-  base.loss_scaler.growth_interval = 3;  // force scaler dynamics in-run
+  base.window_dtype = tensor::DType::bf16;
+  base.window_rounding = tensor::Rounding::stochastic;
 
   const TrainRun ref = run_engine(mcfg, base, 8);
 
   core::EngineConfig ck = base;
-  ck.ckpt.dir = fresh_dir("ckpt_engine_fp16");
+  ck.ckpt.dir = fresh_dir("ckpt_engine_bf16_sr");
   ck.ckpt.every_n_steps = 4;
   (void)run_engine(mcfg, ck, 6);
   const TrainRun after = run_engine(mcfg, ck, 8, /*resume=*/true);
@@ -552,6 +555,99 @@ TEST(EngineCkpt, Fp16ResumeRestoresLossScalerState) {
     EXPECT_EQ(after.losses[i], ref.losses[4 + i]) << "step " << 5 + i;
   }
   sh::testing::expect_allclose(after.params, ref.params, 0.0f, 0.0f);
+}
+
+/// Rewrites an f32 engine snapshot into the format committed while the FP16
+/// wire mode existed: the geometry blob spelled out byte by byte as
+/// {u64 layers, u64 total_params, u32 fp16, u32 grad_accumulation}, plus the
+/// loss-scaler state {f32 scale, i32 good_steps, i32 skipped} and the u32
+/// overflow flag that such snapshots also carried.
+ckpt::Snapshot to_fp16_era_format(ckpt::Snapshot snap,
+                                  const nn::GptModel& model,
+                                  std::uint32_t fp16) {
+  const std::uint64_t layers = model.num_layers();
+  std::uint64_t total_params = 0;
+  for (std::size_t i = 0; i < model.num_layers(); ++i) {
+    total_params += static_cast<std::uint64_t>(model.layer(i).param_count());
+  }
+  const std::uint32_t accum = 1;
+  std::vector<std::uint8_t> geom(24);
+  std::memcpy(geom.data(), &layers, 8);
+  std::memcpy(geom.data() + 8, &total_params, 8);
+  std::memcpy(geom.data() + 16, &fp16, 4);
+  std::memcpy(geom.data() + 20, &accum, 4);
+  if (fp16 == 0) {
+    // Today's writer still produces exactly these bytes.
+    EXPECT_EQ(snap.blobs.entries.at("engine.geometry"), geom);
+  }
+  snap.blobs.entries["engine.geometry"] = geom;
+
+  const float scale = 1024.0f;  // the scaler's initial scale, never updated
+  const std::int32_t good_steps = 0, skipped = 0;
+  std::vector<std::uint8_t> scaler(12);
+  std::memcpy(scaler.data(), &scale, 4);
+  std::memcpy(scaler.data() + 4, &good_steps, 4);
+  std::memcpy(scaler.data() + 8, &skipped, 4);
+  snap.blobs.entries["engine.scaler"] = scaler;
+  snap.blobs.put("engine.overflow", std::uint32_t{0});
+  return snap;
+}
+
+TEST(EngineCkpt, Fp16EraSnapshotResumesBitIdentically) {
+  const auto mcfg = tiny_config();
+  data::SyntheticCorpus corpus(mcfg.vocab, 21);
+  std::vector<data::Batch> batches;
+  for (int i = 0; i < 6; ++i) batches.push_back(corpus.next_batch(2, 8));
+  core::EngineConfig ecfg;
+  ecfg.window = 2;
+
+  nn::GptModel m_ref(mcfg);
+  core::StrongholdEngine ref(m_ref, ecfg);
+  ref.init_params(42);
+  std::vector<float> ref_losses;
+  for (const auto& b : batches) ref_losses.push_back(ref.train_step(b));
+  std::vector<float> ref_params;
+  ref.snapshot_params(ref_params);
+
+  ckpt::Snapshot old_format;
+  {
+    nn::GptModel m(mcfg);
+    core::StrongholdEngine first(m, ecfg);
+    first.init_params(42);
+    for (int i = 0; i < 3; ++i) first.train_step(batches[static_cast<std::size_t>(i)]);
+    old_format = to_fp16_era_format(first.capture_snapshot(), m, 0);
+  }
+
+  nn::GptModel m(mcfg);
+  core::StrongholdEngine resumed(m, ecfg);
+  resumed.init_params(0);
+  resumed.restore_snapshot(old_format);
+  EXPECT_EQ(resumed.stats().iterations, 3u);
+  for (int i = 3; i < 6; ++i) {
+    EXPECT_EQ(resumed.train_step(batches[static_cast<std::size_t>(i)]),
+              ref_losses[static_cast<std::size_t>(i)])
+        << "step " << i + 1;
+  }
+  std::vector<float> params;
+  resumed.snapshot_params(params);
+  sh::testing::expect_allclose(params, ref_params, 0.0f, 0.0f);
+}
+
+TEST(EngineCkpt, Fp16EraSnapshotOfFp16RunIsGeometryMismatch) {
+  const auto mcfg = tiny_config();
+  core::EngineConfig ecfg;
+  ecfg.window = 2;
+  nn::GptModel m(mcfg);
+  core::StrongholdEngine engine(m, ecfg);
+  engine.init_params(42);
+  const ckpt::Snapshot fp16_run =
+      to_fp16_era_format(engine.capture_snapshot(), m, /*fp16=*/1);
+  try {
+    engine.restore_snapshot(fp16_run);
+    FAIL() << "expected RestoreError";
+  } catch (const RestoreError& e) {
+    EXPECT_EQ(e.kind(), RestoreErrorKind::GeometryMismatch);
+  }
 }
 
 TEST(EngineCkpt, ResumeFromLatestReturnsFalseOnEmptyDirectory) {

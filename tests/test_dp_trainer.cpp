@@ -278,6 +278,44 @@ TEST(DataParallelElastic, RankRejoinsFromLivePeerWithoutCheckpoints) {
   }
 }
 
+TEST(DataParallelElastic, StochasticRoundingRankRejoinsBitIdentically) {
+  // Under a bf16 window with stochastic rounding, a rejoined rank's engine
+  // has run fewer encodes than its peers. The rounding streams are keyed on
+  // restored state (layer, optimizer step, iteration), so it still rounds
+  // onto the same bytes and every replica matches the uninterrupted run.
+  const auto mcfg = tiny_config();
+  const auto batches = make_batches(mcfg, 4);
+  core::EngineConfig ecfg;
+  ecfg.window = 2;
+  ecfg.window_dtype = tensor::DType::bf16;
+  ecfg.window_rounding = tensor::Rounding::stochastic;
+
+  DataParallelTrainer ref(mcfg, ecfg, 4);
+  ref.init_params(42);
+  std::vector<float> ref_losses;
+  for (const auto& b : batches) ref_losses.push_back(ref.train_step(b));
+  std::vector<float> ref_params;
+  ref.snapshot_params(0, ref_params);
+
+  DataParallelTrainer trainer(mcfg, ecfg, 4);
+  trainer.init_params(42);
+  std::vector<float> losses;
+  losses.push_back(trainer.train_step(batches[0]));
+  losses.push_back(trainer.train_step(batches[1]));
+  trainer.remove_rank(1);
+  trainer.add_rank();
+  EXPECT_EQ(trainer.world(), 4);
+  losses.push_back(trainer.train_step(batches[2]));
+  losses.push_back(trainer.train_step(batches[3]));
+
+  EXPECT_EQ(losses, ref_losses);
+  for (int r = 0; r < trainer.world(); ++r) {
+    std::vector<float> pr;
+    trainer.snapshot_params(r, pr);
+    sh::testing::expect_allclose(pr, ref_params, 0.0f, 0.0f);
+  }
+}
+
 TEST(DataParallelElastic, WorldShrinksAndRegrowsAcrossSteps) {
   // Train at world 8, shrink to 4 (batch re-shards over fewer ranks), grow
   // back to 8 — replicas stay bitwise identical throughout.

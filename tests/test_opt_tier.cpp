@@ -221,32 +221,31 @@ TEST(OptTier, ExhaustedBudgetRaisesIoErrorWithoutTornState) {
 }
 
 TEST(OptTier, CheckpointRoundTripsAcrossTiers) {
-  // The checkpoint format is tier-transparent: a checkpoint taken under
+  // The snapshot format is tier-transparent: a snapshot taken under
   // SH_OPT_TIER=nvme restores into a CPU-tier engine (and vice versa) and
   // both continue with bit-identical trajectories.
   const auto mcfg = tiny_config();
   const auto warm = make_batches(2, mcfg.max_seq, 2, 7);
   const auto cont = make_batches(2, mcfg.max_seq, 2, 8);
-  const std::string path = ::testing::TempDir() + "opt_tier_ckpt.bin";
 
   nn::GptModel model_a(mcfg);
   StrongholdEngine tiered(model_a, nvme_tier_config("ckpt_src"));
   tiered.init_params(42);
   for (const auto& b : warm) tiered.train_step(b);
-  tiered.save_checkpoint(path);
+  const ckpt::Snapshot snap = tiered.capture_snapshot();
 
   // Restore into a CPU-tier engine and into a fresh NVMe-tier engine.
   nn::GptModel model_b(mcfg);
   EngineConfig cpu_cfg;
   cpu_cfg.window = 2;
   StrongholdEngine cpu_tier(model_b, cpu_cfg);
-  cpu_tier.init_params(1);  // overwritten by the checkpoint
-  cpu_tier.load_checkpoint(path);
+  cpu_tier.init_params(1);  // overwritten by the snapshot
+  cpu_tier.restore_snapshot(snap);
 
   nn::GptModel model_c(mcfg);
   StrongholdEngine retiered(model_c, nvme_tier_config("ckpt_dst"));
   retiered.init_params(1);
-  retiered.load_checkpoint(path);
+  retiered.restore_snapshot(snap);
 
   for (const auto& b : cont) {
     const float l0 = tiered.train_step(b);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "obs/obs.hpp"
 #include "serve/kv_arena.hpp"
 #include "serve/scheduler.hpp"
 
@@ -162,8 +163,14 @@ TEST(Serve, SchedulerRecordsThroughputAndLatency) {
   scfg.max_batch = 4;
   scfg.arena.budget_bytes = 1 << 20;
   Scheduler sched(engine, scfg);
+  obs::Recorder& rec = obs::Recorder::global();
+  rec.clear();
+  rec.set_enabled(true);
   for (auto& r : eight_requests()) sched.submit(r);
   sched.run_to_completion();
+  const auto spans = rec.snapshot();
+  rec.set_enabled(false);
+  rec.clear();
 
   const auto& es = sched.serve_engine().stats();
   EXPECT_GT(es.steps, 0u);
@@ -174,11 +181,12 @@ TEST(Serve, SchedulerRecordsThroughputAndLatency) {
   EXPECT_GT(sched.serve_engine().latency_percentile(0.5), 0.0);
   EXPECT_GE(sched.serve_engine().latency_percentile(0.99),
             sched.serve_engine().latency_percentile(0.5));
-  // Trace holds per-step serve spans and one span per finished request.
+  // The recorder holds per-step serve spans and one span per finished
+  // request.
   std::size_t serve_spans = 0, request_spans = 0;
-  for (const auto& span : sched.serve_engine().trace().spans()) {
-    serve_spans += span.resource == "serve";
-    request_spans += span.resource == "request";
+  for (const auto& span : spans) {
+    serve_spans += span.track == "serve";
+    request_spans += span.track == "request";
   }
   EXPECT_EQ(serve_spans, es.steps);
   EXPECT_EQ(request_spans, 8u);
