@@ -1,10 +1,12 @@
 // BF16 working window over FP32 masters: loss-curve equivalence, halved
 // wire traffic, doubled auto-window capacity, stochastic-rounding
-// determinism and the FP32-default bit-identity regression.
+// determinism, the FP32-default bit-identity regression, and bit-identical
+// composition with window size, accumulation, clipping and both swap tiers.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -245,6 +247,106 @@ TEST(Bf16Window, KvArenaChargesRealBf16Bytes) {
   EXPECT_EQ(2 * b.bytes_for(8), a.bytes_for(8));
   EXPECT_EQ(2 * b.bytes_for(5), a.bytes_for(5));  // same chunk rounding
 }
+
+void expect_same_run(const RunResult& got, const RunResult& want) {
+  EXPECT_EQ(got.losses, want.losses);
+  sh::testing::expect_allclose(got.params, want.params, 0.0f, 0.0f);
+}
+
+// Under either rounding mode, a bf16 run is a function of its data and seeds
+// alone: every encode is keyed on the master's version or the iteration,
+// never on which layers happened to stay resident or where masters and
+// moments live between updates.
+class Bf16Composition : public ::testing::TestWithParam<tensor::Rounding> {
+ protected:
+  EngineConfig bf16_config(std::size_t window) const {
+    EngineConfig cfg;
+    cfg.window = window;
+    cfg.window_dtype = tensor::DType::bf16;
+    cfg.window_rounding = GetParam();
+    return cfg;
+  }
+  std::string swap_file(const std::string& tag) const {
+    return ::testing::TempDir() + "bf16_" + tag + "_" +
+           tensor::rounding_name(GetParam()) + ".bin";
+  }
+};
+
+TEST_P(Bf16Composition, WindowSizeDoesNotChangeTheRun) {
+  const auto mcfg = tiny_config();
+  const auto batches = make_batches(2, mcfg.max_seq, 5);
+  const auto ref = run_engine(mcfg, bf16_config(2), batches);
+  // Window 1 refetches every block for backward; window 4 keeps all four
+  // blocks resident and updates them in place.
+  for (std::size_t window : {1u, 3u, 4u}) {
+    SCOPED_TRACE("window " + std::to_string(window));
+    expect_same_run(run_engine(mcfg, bf16_config(window), batches), ref);
+  }
+}
+
+TEST_P(Bf16Composition, GradAccumulationDoesNotDependOnWindowSize) {
+  const auto mcfg = tiny_config();
+  const auto batches = make_batches(2, mcfg.max_seq, 6);
+  EngineConfig wide = bf16_config(2);
+  wide.grad_accumulation = 2;
+  EngineConfig narrow = bf16_config(1);
+  narrow.grad_accumulation = 2;
+  const auto ref = run_engine(mcfg, wide, batches);
+  EXPECT_EQ(ref.stats.optimizer_updates,
+            static_cast<std::size_t>(3 * (mcfg.layers + 2)));
+  expect_same_run(run_engine(mcfg, narrow, batches), ref);
+}
+
+TEST_P(Bf16Composition, InactiveClippingIsBitIdenticalToNoClipping) {
+  const auto mcfg = tiny_config();
+  const auto batches = make_batches(2, mcfg.max_seq, 4);
+  const auto ref = run_engine(mcfg, bf16_config(2), batches);
+
+  // A threshold far above the gradient norm yields a clip factor of exactly
+  // 1: deferring every update behind the global norm changes no bit.
+  EngineConfig loose = bf16_config(2);
+  loose.clip_grad_norm = 1e9f;
+  expect_same_run(run_engine(mcfg, loose, batches), ref);
+
+  // A binding threshold does change the trajectory, so the deferred path
+  // above really ran with clipping enabled.
+  EngineConfig tight = bf16_config(2);
+  tight.clip_grad_norm = 0.05f;
+  const auto clipped = run_engine(mcfg, tight, batches);
+  EXPECT_EQ(clipped.losses.front(), ref.losses.front());
+  EXPECT_NE(clipped.params, ref.params);
+}
+
+TEST_P(Bf16Composition, SwapBackedMastersMatchInRamMasters) {
+  const auto mcfg = tiny_config();
+  const auto batches = make_batches(2, mcfg.max_seq, 4);
+  EngineConfig swapped = bf16_config(1);
+  swapped.cpu_capacity_bytes = 64 * 1024;
+  swapped.swap_path = swap_file("swap");
+  const auto got = run_engine(mcfg, swapped, batches);
+  EXPECT_GT(got.stats.swap_backed_layers, 0u);
+  expect_same_run(got, run_engine(mcfg, bf16_config(1), batches));
+}
+
+TEST_P(Bf16Composition, NvmeMomentsMatchCpuMoments) {
+  const auto mcfg = tiny_config();
+  const auto batches = make_batches(2, mcfg.max_seq, 4);
+  EngineConfig tiered = bf16_config(2);
+  tiered.optimizer_tier = OptimizerTier::nvme;
+  tiered.swap_path = swap_file("nvme");
+  const auto got = run_engine(mcfg, tiered, batches);
+  EXPECT_GT(got.stats.opt_tiered_layers, 0u);
+  EXPECT_EQ(got.stats.moment_update_skips, 0u);
+  expect_same_run(got, run_engine(mcfg, bf16_config(2), batches));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rounding, Bf16Composition,
+    ::testing::Values(tensor::Rounding::nearest_even,
+                      tensor::Rounding::stochastic),
+    [](const ::testing::TestParamInfo<tensor::Rounding>& info) {
+      return std::string(tensor::rounding_name(info.param));
+    });
 
 }  // namespace
 }  // namespace sh::core

@@ -1,6 +1,7 @@
-// Engine snapshots: capture/restore must resume exactly, and restoring while
+// Engine snapshots: capture/restore must resume exactly, restoring while
 // layers are resident must refresh their device copies exactly as a fresh
-// fetch would encode them — under every window encoding.
+// fetch would encode them, and a snapshot must resume at any window size —
+// under every window encoding.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -103,17 +104,72 @@ TEST_P(CheckpointResident, RestoreMidTrainingRefreshesResidentLayers) {
   sh::testing::expect_allclose(params_again, params_fresh, 0.0f, 0.0f);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Windows, CheckpointResident,
-    ::testing::Values(
-        WindowCase{"f32", tensor::DType::f32, tensor::Rounding::nearest_even},
-        WindowCase{"bf16", tensor::DType::bf16,
-                   tensor::Rounding::nearest_even},
-        WindowCase{"bf16_sr", tensor::DType::bf16,
-                   tensor::Rounding::stochastic}),
-    [](const ::testing::TestParamInfo<WindowCase>& info) {
-      return std::string(info.param.name);
-    });
+class CheckpointAcrossWindows : public ::testing::TestWithParam<WindowCase> {};
+
+TEST_P(CheckpointAcrossWindows, ResumesBitIdenticallyAtAnotherWindowSize) {
+  // A snapshot carries FP32 masters and no residency, and no encode depends
+  // on which layers were resident: a run captured at window 2 continues at
+  // windows 1 and 4 exactly as it would have at window 2.
+  const auto mcfg = tiny_config();
+  data::SyntheticCorpus corpus(mcfg.vocab, 52);
+  std::vector<data::Batch> batches;
+  for (int i = 0; i < 6; ++i) batches.push_back(corpus.next_batch(2, mcfg.max_seq));
+
+  EngineConfig cfg;
+  cfg.window = 2;
+  cfg.window_dtype = GetParam().dtype;
+  cfg.window_rounding = GetParam().rounding;
+
+  nn::GptModel m1(mcfg);
+  StrongholdEngine cont(m1, cfg);
+  cont.init_params(42);
+  std::vector<float> cont_losses;
+  for (const auto& b : batches) cont_losses.push_back(cont.train_step(b));
+  std::vector<float> cont_params;
+  cont.snapshot_params(cont_params);
+
+  ckpt::Snapshot snap;
+  {
+    nn::GptModel m2(mcfg);
+    StrongholdEngine first(m2, cfg);
+    first.init_params(42);
+    for (int i = 0; i < 3; ++i) first.train_step(batches[static_cast<std::size_t>(i)]);
+    snap = first.capture_snapshot();
+  }
+
+  for (std::size_t window : {1u, 4u}) {
+    SCOPED_TRACE("window " + std::to_string(window));
+    EngineConfig other = cfg;
+    other.window = window;
+    nn::GptModel m3(mcfg);
+    StrongholdEngine resumed(m3, other);
+    resumed.init_params(0);  // wrong weights on purpose
+    resumed.restore_snapshot(snap);
+    for (int i = 3; i < 6; ++i) {
+      EXPECT_EQ(resumed.train_step(batches[static_cast<std::size_t>(i)]),
+                cont_losses[static_cast<std::size_t>(i)])
+          << "step " << i + 1;
+    }
+    std::vector<float> params;
+    resumed.snapshot_params(params);
+    sh::testing::expect_allclose(params, cont_params, 0.0f, 0.0f);
+  }
+}
+
+const WindowCase kWindowCases[] = {
+    {"f32", tensor::DType::f32, tensor::Rounding::nearest_even},
+    {"bf16", tensor::DType::bf16, tensor::Rounding::nearest_even},
+    {"bf16_sr", tensor::DType::bf16, tensor::Rounding::stochastic},
+};
+
+std::string window_case_name(const ::testing::TestParamInfo<WindowCase>& info) {
+  return info.param.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Windows, CheckpointResident,
+                         ::testing::ValuesIn(kWindowCases), window_case_name);
+INSTANTIATE_TEST_SUITE_P(Windows, CheckpointAcrossWindows,
+                         ::testing::ValuesIn(kWindowCases), window_case_name);
 
 }  // namespace
 }  // namespace sh::core

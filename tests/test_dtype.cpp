@@ -108,6 +108,57 @@ TEST(Bf16, QuantizeInplaceMatchesRoundTrip) {
   }
 }
 
+TEST(Bf16, KnownBitPatterns) {
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(float_to_bf16(0.0f), 0x0000);
+  EXPECT_EQ(float_to_bf16(-0.0f), 0x8000);
+  EXPECT_EQ(float_to_bf16(1.0f), 0x3F80);
+  EXPECT_EQ(float_to_bf16(-1.0f), 0xBF80);
+  EXPECT_EQ(float_to_bf16(2.0f), 0x4000);
+  EXPECT_EQ(float_to_bf16(0.5f), 0x3F00);
+  // 1/3 is 0x3EAA_AAAB in f32: the dropped half is above the tie.
+  EXPECT_EQ(float_to_bf16(1.0f / 3.0f), 0x3EAB);
+  // The smallest normal is shared with f32.
+  EXPECT_EQ(float_to_bf16(std::numeric_limits<float>::min()), 0x0080);
+  EXPECT_EQ(bf16_to_float(0x0080), std::numeric_limits<float>::min());
+  // Largest finite bf16: (2 - 2^-7) * 2^127.
+  EXPECT_EQ(bf16_to_float(0x7F7F), std::ldexp(255.0f / 128.0f, 127));
+  EXPECT_EQ(bf16_to_float(0x7F80), inf);
+  EXPECT_EQ(bf16_to_float(0xFF80), -inf);
+}
+
+TEST(Bf16, RoundTripIsIdempotentWithinHalfAnUlp) {
+  Rng rng(5);
+  std::vector<float> vals(2000);
+  rng.fill_normal(vals, 10.0f);
+  for (float v : vals) {
+    const float once = bf16_to_float(float_to_bf16(v));
+    EXPECT_EQ(bf16_to_float(float_to_bf16(once)), once) << v;
+    // Eight significant bits: one rounding errs by at most 2^-8 relative.
+    EXPECT_LE(std::abs(once - v), std::abs(v) * std::ldexp(1.0f, -8)) << v;
+  }
+}
+
+TEST(Bf16, BulkConversionsMatchScalar) {
+  Rng rng(6);
+  std::vector<float> src(257);
+  rng.fill_uniform(src, 100.0f);
+  src[0] = std::numeric_limits<float>::infinity();
+  src[1] = -0.0f;
+  src[2] = std::numeric_limits<float>::quiet_NaN();
+  src[3] = from_bits(0x00010000u);  // subnormal
+  src[4] = from_bits(0x7F7FFFFFu);  // rounds past the finite range
+  std::vector<bf16> encoded(src.size());
+  convert_float_to_bf16(src.data(), encoded.data(), src.size());
+  std::vector<float> decoded(src.size());
+  convert_bf16_to_float(encoded.data(), decoded.data(), encoded.size());
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    EXPECT_EQ(encoded[i], float_to_bf16(src[i])) << "element " << i;
+    EXPECT_EQ(to_bits(decoded[i]), to_bits(bf16_to_float(encoded[i])))
+        << "element " << i;
+  }
+}
+
 TEST(Bf16Stochastic, DeterministicUnderFixedSeed) {
   Rng rng_a(42), rng_b(42), rng_c(43);
   std::vector<float> vals(512);
@@ -152,6 +203,41 @@ TEST(Bf16Stochastic, SpecialValuesAreNeverPerturbed) {
     EXPECT_TRUE(std::isnan(bf16_to_float(float_to_bf16_stochastic(
         std::numeric_limits<float>::quiet_NaN(), rng))));
   }
+}
+
+TEST(Bf16Stochastic, RoundsToAnAdjacentValue) {
+  // Stochastic rounding only ever picks one of the two bf16 neighbours of x:
+  // the truncation toward zero or the next value away from zero. A value
+  // that is already representable is never moved.
+  Rng fill(12);
+  std::vector<float> vals(4096);
+  fill.fill_uniform(vals, 50.0f);
+  Rng rng(13);
+  for (float v : vals) {
+    const bf16 down = static_cast<bf16>(to_bits(v) >> 16);
+    const bf16 r = float_to_bf16_stochastic(v, rng);
+    EXPECT_TRUE(r == down || r == down + 1) << v;
+    const float exact = from_bits(to_bits(v) & 0xFFFF0000u);
+    EXPECT_EQ(float_to_bf16_stochastic(exact, rng), down) << exact;
+  }
+}
+
+TEST(Bf16Stochastic, BulkMatchesScalarStream) {
+  // The bulk kernel draws exactly one random word per element, in order, as
+  // the scalar conversion does: engine streams keyed on (seed, layer, event)
+  // therefore fix every rounded byte.
+  Rng fill(14);
+  std::vector<float> vals(300);
+  fill.fill_uniform(vals, 4.0f);
+  Rng bulk_rng(21), scalar_rng(21);
+  std::vector<bf16> bulk(vals.size());
+  convert_float_to_bf16_stochastic(vals.data(), bulk.data(), vals.size(),
+                                   bulk_rng);
+  for (std::size_t i = 0; i < vals.size(); ++i) {
+    EXPECT_EQ(bulk[i], float_to_bf16_stochastic(vals[i], scalar_rng))
+        << "element " << i;
+  }
+  EXPECT_EQ(bulk_rng.next_u64(), scalar_rng.next_u64());
 }
 
 TEST(MixSeed, DistinctStreamsPerEvent) {

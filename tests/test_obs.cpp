@@ -421,5 +421,73 @@ TEST(EndToEnd, RecorderShowsTransfersOverlappingCompute) {
             0.0);
 }
 
+TEST(EndToEnd, RecorderSpanCountsMatchEngineCounters) {
+  // The recorder is the engine's only trace, and it is complete: one span
+  // per transfer on h2d/d2h, one cpu-opt span per optimizer update
+  // (including the pinned embedding and head), one engine span per step.
+  GlobalObsGuard guard;
+  Recorder::global().set_enabled(true);
+
+  nn::GptConfig mcfg;
+  mcfg.vocab = 32;
+  mcfg.max_seq = 8;
+  mcfg.hidden = 16;
+  mcfg.heads = 2;
+  mcfg.layers = 4;
+  nn::GptModel model(mcfg);
+  core::EngineConfig ecfg;
+  ecfg.window = 1;
+  core::StrongholdEngine engine(model, ecfg);
+  engine.init_params(3);
+  data::SyntheticCorpus corpus(mcfg.vocab, 6);
+  const std::size_t steps = 3;
+  for (std::size_t i = 0; i < steps; ++i) {
+    engine.train_step(corpus.next_batch(2, mcfg.max_seq));
+  }
+  std::vector<float> scratch;
+  engine.snapshot_params(scratch);  // quiesces in-flight background work
+  const core::EngineStats stats = engine.stats();
+
+  std::size_t h2d = 0, d2h = 0, opt = 0, step_spans = 0;
+  for (const auto& s : Recorder::global().snapshot()) {
+    h2d += s.track == "h2d";
+    d2h += s.track == "d2h";
+    opt += s.track == "cpu-opt";
+    step_spans += s.track == "engine" && s.name == "train_step";
+  }
+  ASSERT_GT(stats.h2d_transfers, 0u);
+  ASSERT_GT(stats.d2h_transfers, 0u);
+  EXPECT_EQ(h2d, stats.h2d_transfers);
+  EXPECT_EQ(d2h, stats.d2h_transfers);
+  EXPECT_EQ(opt, stats.optimizer_updates);
+  EXPECT_EQ(opt, steps * model.num_layers());
+  EXPECT_EQ(step_spans, steps);
+}
+
+TEST(EndToEnd, DisabledRecorderLeavesEngineRunUnrecorded) {
+  GlobalObsGuard guard;  // recorder off, as in any process that never opts in
+
+  nn::GptConfig mcfg;
+  mcfg.vocab = 32;
+  mcfg.max_seq = 8;
+  mcfg.hidden = 16;
+  mcfg.heads = 2;
+  mcfg.layers = 4;
+  nn::GptModel model(mcfg);
+  core::EngineConfig ecfg;
+  ecfg.window = 1;
+  core::StrongholdEngine engine(model, ecfg);
+  engine.init_params(1);
+  data::SyntheticCorpus corpus(mcfg.vocab, 1);
+  for (int i = 0; i < 2; ++i) {
+    engine.train_step(corpus.next_batch(2, mcfg.max_seq));
+  }
+  std::vector<float> scratch;
+  engine.snapshot_params(scratch);
+
+  EXPECT_GT(engine.stats().h2d_transfers, 0u);
+  EXPECT_TRUE(Recorder::global().snapshot().empty());
+}
+
 }  // namespace
 }  // namespace sh::obs

@@ -192,6 +192,31 @@ TEST(Serve, SchedulerRecordsThroughputAndLatency) {
   EXPECT_EQ(request_spans, 8u);
 }
 
+TEST(Serve, DisabledRecorderKeepsNoServingSpans) {
+  // Serving keeps no trace of its own: with the recorder off, a run leaves
+  // nothing behind however many steps and requests it served.
+  const auto mcfg = serve_model_config();
+  nn::GptModel model(mcfg);
+  core::EngineConfig ecfg;
+  ecfg.window = 2;
+  core::StrongholdEngine engine(model, ecfg);
+  engine.init_params(5);
+
+  SchedulerConfig scfg;
+  scfg.max_batch = 4;
+  scfg.arena.budget_bytes = 1 << 20;
+  Scheduler sched(engine, scfg);
+  obs::Recorder& rec = obs::Recorder::global();
+  rec.set_enabled(false);
+  rec.clear();
+  for (auto& r : eight_requests()) sched.submit(r);
+  sched.run_to_completion();
+
+  EXPECT_GT(sched.serve_engine().stats().steps, 0u);
+  EXPECT_EQ(sched.serve_engine().stats().decode_tokens, 72u);
+  EXPECT_TRUE(rec.snapshot().empty());
+}
+
 TEST(KvArena, AccountingAdmissionAndGrowth) {
   const auto mcfg = serve_model_config();
   KvArenaConfig cfg;
