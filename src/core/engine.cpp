@@ -34,6 +34,16 @@ void throttle_sleep(double bytes, double bytes_per_s) {
   }
 }
 
+/// The first micro-step of an accumulation cycle overwrites a layer's CPU
+/// gradient accumulator; later ones add to it.
+void accumulate_grads(LayerState& st, const float* g, bool overwrite) {
+  if (overwrite) {
+    std::copy_n(g, static_cast<std::size_t>(st.params), st.cpu_grads.data());
+  } else {
+    tensor::axpy(1.0f, g, st.cpu_grads.data(), st.params);
+  }
+}
+
 std::unique_ptr<storage::SwapFile> make_swap(const EngineConfig& cfg) {
   const bool nvme_opt = cfg.optimizer_tier == OptimizerTier::nvme;
   if (cfg.cpu_capacity_bytes == 0 && !nvme_opt) return nullptr;
@@ -126,18 +136,7 @@ StrongholdEngine::StrongholdEngine(nn::GptModel& model, EngineConfig config)
     window_ = std::min<std::size_t>(blocks, fit > 0 ? fit - 1 : 0);
     window_ = std::max<std::size_t>(window_, 1);
   }
-  std::size_t slots =
-      window_ < blocks ? window_ + 1 : blocks;  // +1 prefetch stage slot
-  // Second stage slot (best-effort, honestly accounted against the device
-  // capacity): with only one, the BP loop's blocking prefetch acquire waits
-  // for the PREVIOUS eviction's whole d2h job — gradient quantise + copy +
-  // link throttle — to release its buffer, which serialises gradient
-  // offload against backward compute (measured ~16% d2h overlap in
-  // bench_fig4_trace). With two, the incoming fetch and the outgoing
-  // eviction each own a stage buffer and the d2h drain overlaps the next
-  // layer's backward. Skipped when the device cannot fit it; the pipeline
-  // then degrades to the old serialised handoff instead of failing.
-  if (slots < blocks && slots + 1 <= fit) ++slots;
+  const std::size_t slots = slots_for(window_, fit);
   slot_bytes_ = slot_bytes;
   slots_reserved_ = slots;
   // Throws mem::OomError when the requested window cannot be reserved.
@@ -202,16 +201,21 @@ StrongholdEngine::~StrongholdEngine() {
   // remove_provider returns the registry guarantees the callback never runs.
   obs::Registry::global().remove_provider(obs_provider_id_);
   if (act_spill_enabled_) gpu_pool_.remove_pressure_callback(act_pressure_cb_);
-  opts_.wait_all();
-  h2d_.wait_all();
-  d2h_.wait_all();
-  // The drained queues above may have enqueued swap-tier write-backs that
-  // still reference layer masters; those must land before LayerStore dies.
-  if (swap_) swap_->wait_all();
+  // Swap-tier write-backs still reference layer masters; they must land
+  // before LayerStore dies.
+  drain();
   // Return pinned buffers; BufferPool returns its slots on destruction.
   pool_.reset();
   gpu_pool_.deallocate(pinned_emb_);
   gpu_pool_.deallocate(pinned_head_);
+}
+
+void StrongholdEngine::drain() {
+  // Updates and d2h jobs enqueue tier write-backs, so the tier drains last.
+  opts_.wait_all();
+  h2d_.wait_all();
+  d2h_.wait_all();
+  if (swap_) swap_->wait_all();
 }
 
 void StrongholdEngine::setup_pinned_layers() {
@@ -254,6 +258,23 @@ void StrongholdEngine::normalize_residency() {
   for (std::size_t b = 1; b <= w; ++b) prefetch(b);
 }
 
+std::size_t StrongholdEngine::slots_for(std::size_t window,
+                                        std::size_t fit) const {
+  const std::size_t blocks = num_blocks();
+  std::size_t slots = window < blocks ? window + 1 : blocks;  // +1 fetch stage
+  // Second stage slot (best-effort, honestly accounted against the device
+  // capacity): with only one, the BP loop's blocking prefetch acquire waits
+  // for the PREVIOUS eviction's whole d2h job — gradient quantise + copy +
+  // link throttle — to release its buffer, which serialises gradient
+  // offload against backward compute (measured ~16% d2h overlap in
+  // bench_fig4_trace). With two, the incoming fetch and the outgoing
+  // eviction each own a stage buffer and the d2h drain overlaps the next
+  // layer's backward. Skipped when the device cannot fit it; the pipeline
+  // then degrades to the old serialised handoff instead of failing.
+  if (slots < blocks && slots + 1 <= fit) ++slots;
+  return slots;
+}
+
 void StrongholdEngine::prefetch(std::size_t index) {
   LayerState& st = store_.state(index);
   if (st.gpu_slot != nullptr) return;  // already resident or in flight
@@ -290,13 +311,11 @@ void StrongholdEngine::prefetch(std::size_t index) {
 void StrongholdEngine::issue_fetch(LayerState& st, std::byte* slot) {
   st.gpu_slot = slot;
   auto update_done = st.update_done;  // wait for a pending optimizer step
-  const auto params = static_cast<std::size_t>(st.params);
   const double rate = cfg_.h2d_bytes_per_s;
   LayerProfile* prof = (st.index >= 1 && st.index <= num_blocks())
                            ? &profiles_[st.index - 1]
                            : nullptr;
-  st.ready = h2d_.run_async([this, &st, slot, params, update_done, rate,
-                             prof] {
+  st.ready = h2d_.run_async([this, &st, slot, update_done, rate, prof] {
     if (update_done.valid()) update_done.wait();
     // Fault the master in from the NVMe tier if needed (Section III-G).
     // get(), not wait(): a tier read whose retry budget is exhausted
@@ -304,27 +323,14 @@ void StrongholdEngine::issue_fetch(LayerState& st, std::byte* slot) {
     // copying a stale master onto the device.
     store_.fault_in(st.index).get();
     const double t0 = now_seconds();
-    if (bf16_window()) {
-      // The wire format is BF16: the FP32 master lands encoded, at half
-      // the bytes; the slot genuinely stores 2-byte elements. st.step is
-      // read here, after update_done, so it is the version of the master
-      // being encoded.
-      auto* dst = reinterpret_cast<tensor::bf16*>(slot);
-      encode_bf16(st, st.cpu_params.data(), dst, params, param_event(st));
-      std::fill_n(dst + params, params, tensor::bf16{0});  // fresh grads
-    } else {
-      auto* dst = reinterpret_cast<float*>(slot);
-      std::memcpy(dst, st.cpu_params.data(), params * sizeof(float));
-      std::fill_n(dst + params, params, 0.0f);  // fresh gradient buffer
-    }
+    // st.step is read after update_done, so a bf16 encode is keyed on the
+    // version of the master it encodes.
+    fill_slot(st, slot);
     const std::size_t wire = wire_param_bytes(st.params);
     throttle_sleep(static_cast<double>(wire), rate);
     if (prof != nullptr) prof->t_c2g = now_seconds() - t0;
     obs::span("h2d", "p", t0, now_seconds());
-    h2d_.record_transfer(wire);  // true wire bytes on the link's own stats
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.h2d_transfers;
-    stats_.h2d_bytes += wire;
+    h2d_.record_transfer(wire);  // true wire bytes: the link's own counters
   });
 }
 
@@ -379,17 +385,27 @@ void StrongholdEngine::encode_bf16(const LayerState& st, const float* src,
   }
 }
 
-void StrongholdEngine::refresh_device_copy(LayerState& st) {
+void StrongholdEngine::fill_slot(LayerState& st, std::byte* slot) {
   const auto params = static_cast<std::size_t>(st.params);
   if (!st.pinned_on_gpu && bf16_window()) {
-    encode_bf16(st, st.cpu_params.data(), slot_b16(st), params,
-                param_event(st));
-    std::fill_n(slot_b16(st) + params, params, tensor::bf16{0});
+    // The wire format is BF16: the FP32 master lands encoded, at half the
+    // bytes; the slot genuinely stores 2-byte elements.
+    auto* dst = reinterpret_cast<tensor::bf16*>(slot);
+    encode_bf16(st, st.cpu_params.data(), dst, params, param_event(st));
+    std::fill_n(dst + params, params, tensor::bf16{0});  // fresh grads
     return;
   }
-  float* buf = slot_f32(st);
-  std::memcpy(buf, st.cpu_params.data(), params * sizeof(float));
-  std::fill_n(buf + params, params, 0.0f);
+  auto* dst = reinterpret_cast<float*>(slot);
+  std::memcpy(dst, st.cpu_params.data(), params * sizeof(float));
+  std::fill_n(dst + params, params, 0.0f);  // fresh gradient buffer
+}
+
+void StrongholdEngine::reduce_grads_into(const LayerState& st, float* dst) {
+  std::fill_n(dst, static_cast<std::size_t>(st.params), 0.0f);
+  for (auto& scratch : exec_grads_) {
+    tensor::axpy(1.0f, scratch.data(), dst, st.params);
+  }
+  if (cfg_.grad_reducer) cfg_.grad_reducer(st.index, dst, st.params);
 }
 
 void StrongholdEngine::mark_act_spillable(std::size_t b) {
@@ -482,9 +498,8 @@ void StrongholdEngine::evict_after_backward(LayerState& st) {
       (st.index >= 1 && st.index <= num_blocks()) ? &profiles_[st.index - 1]
                                                   : nullptr;
   // One FIFO job: offload gradients, then recycle the buffer.
-  const bool clip = clipping() && accum_final_;
   const bool overwrite = accum_first_;
-  auto copied = d2h_.run_async([this, &st, slot, params, rate, prof, clip,
+  auto copied = d2h_.run_async([this, &st, slot, params, rate, prof,
                                 overwrite] {
     const double t0 = now_seconds();
     if (bf16_window()) {
@@ -500,42 +515,21 @@ void StrongholdEngine::evict_after_backward(LayerState& st) {
         tensor::axpy(1.0f, tmp.data(), st.cpu_grads.data(), st.params);
       }
     } else {
-      float* g = reinterpret_cast<float*>(slot) + params;
-      // First micro-step overwrites the CPU-side gradient accumulator;
-      // later ones accumulate (gradient accumulation cycles).
-      if (overwrite) {
-        std::memcpy(st.cpu_grads.data(), g, params * sizeof(float));
-      } else {
-        tensor::axpy(1.0f, g, st.cpu_grads.data(), st.params);
-      }
+      accumulate_grads(st, reinterpret_cast<float*>(slot) + params, overwrite);
     }
     const std::size_t wire = wire_param_bytes(st.params);
     throttle_sleep(static_cast<double>(wire), rate);
     if (prof != nullptr) prof->t_g2c = now_seconds() - t0;
     obs::span("d2h", "g", t0, now_seconds());
-    if (clip) {
-      grad_sumsq_[st.index] =
-          tensor::dot(st.cpu_grads.data(), st.cpu_grads.data(), st.params);
-    }
     pool_->release(slot);
     d2h_.record_transfer(wire);
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.d2h_transfers;
-    stats_.d2h_bytes += wire;
   });
   if (!accum_final_) return;  // mid-cycle: accumulate only, no update
-  // Concurrent CPU-side update (Section III-E1), then NVMe write-back. With
-  // clipping, the update waits behind the per-step gate (clip_ready_
-  // resolves once every gradient has drained and the global norm exists).
-  auto post = [this, &st] { store_.write_back(st.index); };
-  if (clipping()) {
-    // Capture THIS iteration's clip factor: a late-running update must not
-    // observe the next iteration's reset value.
-    opts_.submit(st, clip_ready_, post, current_lr_,
-                 [clip = clip_scale_] { return clip->load(); });
-  } else {
-    opts_.submit(st, copied, post, current_lr_);
-  }
+  // Concurrent CPU-side update (Section III-E1), then NVMe write-back.
+  defer_until_clipped([this, &st, copied] {
+    opts_.submit(st, copied, [this, &st] { store_.write_back(st.index); },
+                 current_lr_);
+  });
 }
 
 void StrongholdEngine::update_resident_layer(LayerState& st) {
@@ -553,20 +547,15 @@ void StrongholdEngine::update_resident_layer(LayerState& st) {
   } else {
     g = slot_f32(st) + params;
   }
-  if (accum_first_) {
-    std::copy_n(g, params, st.cpu_grads.data());
-  } else {
-    tensor::axpy(1.0f, g, st.cpu_grads.data(), st.params);
-  }
+  accumulate_grads(st, g, accum_first_);
   if (!accum_final_) return;
   auto body = [this, &st, params] {
     if (bf16_window()) {
-      // The FP32 master is authoritative; the GPU copy is re-encoded from
+      // The FP32 master is authoritative; the GPU copy is refilled from
       // it, exactly like a fresh fault-in of the new version.
       opts_.update_now(st, st.cpu_params.data(), st.cpu_grads.data(),
                        current_lr_);
-      encode_bf16(st, st.cpu_params.data(), slot_b16(st), params,
-                  param_event(st));
+      fill_slot(st, st.gpu_slot);
       st.update_done =
           d2h_.run_async([this, &st] { store_.write_back(st.index); });
     } else {
@@ -578,36 +567,23 @@ void StrongholdEngine::update_resident_layer(LayerState& st) {
       });
     }
   };
-  defer_until_clipped(st, body);
+  defer_until_clipped(body);
 }
 
 void StrongholdEngine::apply_pinned_update(LayerState& st, float* buffer) {
-  const auto n = static_cast<std::size_t>(st.params);
-  if (accum_first_) {
-    std::copy_n(buffer + n, n, st.cpu_grads.data());
-  } else {
-    tensor::axpy(1.0f, buffer + n, st.cpu_grads.data(), st.params);
-  }
+  accumulate_grads(st, buffer + st.params, accum_first_);
   if (!accum_final_) return;
-  defer_until_clipped(st, [this, &st, buffer] {
+  defer_until_clipped([this, &st, buffer] {
     opts_.update_now(st, buffer, st.cpu_grads.data(), current_lr_);
   });
 }
 
-void StrongholdEngine::defer_until_clipped(LayerState& st,
-                                           std::function<void()> update) {
-  if (!clipping()) {
+void StrongholdEngine::defer_until_clipped(std::function<void()> update) {
+  if (clipping()) {
+    deferred_updates_.push_back(std::move(update));
+  } else {
     update();
-    return;
   }
-  grad_sumsq_[st.index] =
-      tensor::dot(st.cpu_grads.data(), st.cpu_grads.data(), st.params);
-  deferred_updates_.push_back(
-      [&st, update = std::move(update), clip = clip_scale_] {
-        const float s = clip->load();
-        if (s != 1.0f) tensor::scale(s, st.cpu_grads.data(), st.params);
-        update();
-      });
 }
 
 void StrongholdEngine::begin_iteration_lr_and_clip() {
@@ -626,12 +602,8 @@ void StrongholdEngine::begin_iteration_lr_and_clip() {
       cfg_.lr_schedule
           ? cfg_.lr_schedule(static_cast<std::int64_t>(iterations / accum) + 1)
           : -1.0f;
-  if (!clipping() || !accum_final_) return;
-  grad_sumsq_.assign(store_.size(), 0.0);
+  // Updates queued by a step that threw never run.
   deferred_updates_.clear();
-  clip_scale_ = std::make_shared<std::atomic<float>>(1.0f);  // per iteration
-  clip_promise_ = std::promise<void>();
-  clip_ready_ = clip_promise_.get_future().share();
 }
 
 void StrongholdEngine::finalize_clipped_updates() {
@@ -639,18 +611,23 @@ void StrongholdEngine::finalize_clipped_updates() {
   // Every evicted layer's gradient must have drained before the norm exists.
   d2h_.wait_all();
   double total = 0.0;
-  for (double s : grad_sumsq_) total += s;
+  for (std::size_t i = 0; i < store_.size(); ++i) {
+    const LayerState& st = store_.state(i);
+    total += tensor::dot(st.cpu_grads.data(), st.cpu_grads.data(), st.params);
+  }
   const double norm = std::sqrt(total);
   if (norm > cfg_.clip_grad_norm) {
-    clip_scale_->store(static_cast<float>(cfg_.clip_grad_norm / norm));
+    const auto s = static_cast<float>(cfg_.clip_grad_norm / norm);
+    for (std::size_t i = 0; i < store_.size(); ++i) {
+      LayerState& st = store_.state(i);
+      tensor::scale(s, st.cpu_grads.data(), st.params);
+    }
   }
-  clip_promise_.set_value();  // releases the queued asynchronous updates
   for (auto& update : deferred_updates_) update();
   deferred_updates_.clear();
 }
 
 float StrongholdEngine::train_step(const data::Batch& batch) {
-  if (!ckpt_) return train_step_body(batch);
   // Surface tier failures parked since the previous step HERE, where the
   // masters are still consistent: the last-gasp path can take a fresh
   // capture before the IoError reaches the trainer.
@@ -687,12 +664,6 @@ float StrongholdEngine::train_step(const data::Batch& batch) {
 
 float StrongholdEngine::train_step_body(const data::Batch& batch) {
   obs::ObsScope step_scope("engine", "train_step");
-  // Fire-and-forget tier write-backs from earlier iterations park their
-  // permanent failures in the SwapFile; surface them at the iteration
-  // boundary (typed IoError) rather than training on a diverged tier.
-  // Checkpoint-enabled engines surface them in the train_step wrapper
-  // instead, where they can be classified as consistent-boundary faults.
-  if (swap_ && !ckpt_) swap_->rethrow_pending();
   const std::int64_t seq = model_.config().max_seq;
   const auto total_tokens = static_cast<std::int64_t>(batch.ids.size());
   if (total_tokens % seq != 0) {
@@ -726,14 +697,10 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
                  execs * static_cast<std::int64_t>(
                              std::max<std::size_t>(cfg_.grad_accumulation, 1)));
   const bool profiling = !window_frozen_;
-
-  auto reduce_grads_into = [&](float* dst, std::size_t params) {
-    std::fill_n(dst, params, 0.0f);
-    for (auto& scratch : exec_grads_) {
-      tensor::axpy(1.0f, scratch.data(), dst,
-                   static_cast<std::int64_t>(params));
-    }
-  };
+  // The f32 view every executor binds the current block to: the slot itself
+  // for f32 windows, the decoded staging buffer for bf16. Executor 0 sets it
+  // before the bind barrier.
+  float* compute_params = nullptr;
 
   auto executor_fn = [&](std::size_t e) {
     // Activation tensors this executor allocates are soft-charged to the
@@ -769,15 +736,12 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
       LayerState& st = block(b);
       if (e == 0) {
         wait_ready(st);
-        // Decode the BF16 window copy into the FP32 staging view before the
-        // bind barrier; every executor computes on the decoded parameters.
-        if (bf16_window()) bind_params_f32(st);
+        compute_params = bind_params_f32(st);
         if (b + window_ <= blocks) prefetch(b + window_);
       }
       bar.arrive_and_wait();
-      const auto params = static_cast<std::size_t>(st.params);
-      std::fill_n(scratch, params, 0.0f);
-      mdl.layer(b).bind(bf16_window() ? stage_.data() : slot_f32(st), scratch);
+      std::fill_n(scratch, static_cast<std::size_t>(st.params), 0.0f);
+      mdl.layer(b).bind(compute_params, scratch);
       const double t0 = now_seconds();
       x = mdl.layer(b).forward(x, micro_shape);
       if (e == 0 && profiling) {
@@ -811,12 +775,7 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
     tensor::Tensor g = head_layer.backward(grad_logits, micro_shape);
     bar.arrive_and_wait();
     if (e == 0) {
-      const auto hp = static_cast<std::size_t>(head.params);
-      reduce_grads_into(pinned_head_ + hp, hp);
-      if (cfg_.grad_reducer) {
-        cfg_.grad_reducer(head.index, pinned_head_ + hp,
-                          static_cast<std::int64_t>(hp));
-      }
+      reduce_grads_into(head, pinned_head_ + head.params);
       apply_pinned_update(head, pinned_head_);
     }
     bar.arrive_and_wait();
@@ -826,7 +785,7 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
       LayerState& st = block(b);
       if (e == 0) {
         wait_ready(st);
-        if (bf16_window()) bind_params_f32(st);
+        compute_params = bind_params_f32(st);
         if (b > window_) prefetch(b - window_);
         // NVMe optimizer tier: issue the tier read of this layer's moments
         // now, so it overlaps the backward compute below and the update task
@@ -840,7 +799,7 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
       bar.arrive_and_wait();
       const auto params = static_cast<std::size_t>(st.params);
       std::fill_n(scratch, params, 0.0f);
-      mdl.layer(b).bind(bf16_window() ? stage_.data() : slot_f32(st), scratch);
+      mdl.layer(b).bind(compute_params, scratch);
       const double t0 = now_seconds();
       g = mdl.layer(b).backward(g, micro_shape);
       if (e == 0 && profiling) {
@@ -857,19 +816,11 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
         // precision-loss event of the gradient path.
         if (bf16_window()) {
           float* gsum = stage_.data() + max_block_params_;
-          reduce_grads_into(gsum, params);
-          if (cfg_.grad_reducer) {
-            cfg_.grad_reducer(st.index, gsum,
-                              static_cast<std::int64_t>(params));
-          }
+          reduce_grads_into(st, gsum);
           encode_bf16(st, gsum, slot_b16(st) + params, params,
                       2 * static_cast<std::uint64_t>(global_step) + 1);
         } else {
-          reduce_grads_into(slot_f32(st) + params, params);
-          if (cfg_.grad_reducer) {
-            cfg_.grad_reducer(st.index, slot_f32(st) + params,
-                              static_cast<std::int64_t>(params));
-          }
+          reduce_grads_into(st, slot_f32(st) + params);
         }
         if (b > window_) {
           evict_after_backward(st);
@@ -887,34 +838,42 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
     (void)emb_layer.backward(g, micro_shape);
     bar.arrive_and_wait();
     if (e == 0) {
-      const auto ep = static_cast<std::size_t>(emb.params);
-      reduce_grads_into(pinned_emb_ + ep, ep);
-      if (cfg_.grad_reducer) {
-        cfg_.grad_reducer(emb.index, pinned_emb_ + ep,
-                          static_cast<std::int64_t>(ep));
-      }
+      reduce_grads_into(emb, pinned_emb_ + emb.params);
       apply_pinned_update(emb, pinned_emb_);
     }
   };
 
-  if (cfg_.num_executors == 1) {
-    executor_fn(0);
-  } else {
-    std::vector<std::thread> threads;
-    for (std::size_t e = 1; e < cfg_.num_executors; ++e) {
-      threads.emplace_back(executor_fn, e);
+  // A failing executor aborts the step's barrier, so its peers leave their
+  // waits with dist::Aborted instead of parking; every thread is joined
+  // before the first real error is rethrown.
+  std::exception_ptr error;
+  std::mutex error_mu;
+  auto run_executor = [&](std::size_t e) {
+    try {
+      executor_fn(e);
+    } catch (const dist::Aborted&) {
+      // A peer failed first; its error is the one to raise.
+    } catch (...) {
+      {
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (!error) error = std::current_exception();
+      }
+      bar.abort();
     }
-    executor_fn(0);
-    for (auto& t : threads) t.join();
+  };
+  std::vector<std::thread> threads;
+  for (std::size_t e = 1; e < cfg_.num_executors; ++e) {
+    threads.emplace_back(run_executor, e);
   }
+  run_executor(0);
+  for (auto& t : threads) t.join();
+  if (error) std::rethrow_exception(error);
 
   finalize_clipped_updates();
-  if (swap_ && !ckpt_) swap_->rethrow_pending();
 
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.iterations;
-    stats_.optimizer_updates = opts_.updates_completed();
   }
   if (profiling) ++profile_samples_;
   maybe_update_window();
@@ -927,9 +886,7 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
 void StrongholdEngine::maybe_update_window() {
   if (window_frozen_ || profile_samples_ < cfg_.warmup_iterations) return;
   // Quiesce in-flight work so the profiles are complete, then solve.
-  opts_.wait_all();
-  h2d_.wait_all();
-  d2h_.wait_all();
+  drain();
 
   WindowModelInput input;
   input.layers = profiles_;
@@ -957,19 +914,11 @@ void StrongholdEngine::maybe_update_window() {
     stats_.window_auto_selected = true;
   }
   if (new_window > window_) {
-    const std::size_t blocks = num_blocks();
-    std::size_t slots = new_window < blocks ? new_window + 1 : blocks;
-    // Keep the second (eviction) stage slot through auto-window growth when
-    // the device still fits it — same double-buffering rationale as the
-    // construction-time slot sizing.
-    const std::size_t slot_bytes = slot_bytes_;
-    const std::size_t growth_bytes =
-        slots > slots_reserved_ ? (slots - slots_reserved_) * slot_bytes : 0;
-    if (slots < blocks &&
-        growth_bytes + slot_bytes <= gpu_pool_.free_bytes()) {
-      ++slots;
-    }
-    slots = std::max(slots, slots_reserved_);
+    // The slots already reserved count towards what fits.
+    const std::size_t slots = std::max(
+        slots_for(new_window,
+                  slots_reserved_ + gpu_pool_.free_bytes() / slot_bytes_),
+        slots_reserved_);
     pool_->ensure_window(slot_bytes_, slots);
     slots_reserved_ = slots;
   }
@@ -1016,19 +965,6 @@ tensor::Tensor StrongholdEngine::inference(std::span<const std::int32_t> ids,
     }
   });
   return x;
-}
-
-void StrongholdEngine::quiesce_and_sync_masters() {
-  opts_.wait_all();
-  d2h_.wait_all();
-  h2d_.wait_all();
-  if (swap_ != nullptr) {
-    // Drain pending tier write-backs and refresh swapped masters.
-    for (std::size_t i = 0; i < store_.size(); ++i) {
-      store_.fault_in(i).wait();
-    }
-  }
-  sync_pinned_masters();
 }
 
 void StrongholdEngine::sync_pinned_masters() {
@@ -1159,7 +1095,10 @@ std::vector<std::int32_t> StrongholdEngine::generate(
 }
 
 void StrongholdEngine::snapshot_params(std::vector<float>& out) {
-  quiesce_and_sync_masters();
+  drain();
+  // Swap-backed masters are read back from the tier.
+  for (std::size_t i = 0; i < store_.size(); ++i) store_.fault_in(i).wait();
+  sync_pinned_masters();
   out.clear();
   for (std::size_t i = 0; i < store_.size(); ++i) {
     const LayerState& st = store_.state(i);
@@ -1192,10 +1131,7 @@ ckpt::Snapshot StrongholdEngine::capture_snapshot() {
   // the tier here would be redundant on a healthy device and actively wrong
   // on a faulted one (the last-gasp path snapshots exactly when the tier's
   // write-backs have failed — its stale regions must not clobber good RAM).
-  opts_.wait_all();
-  d2h_.wait_all();
-  h2d_.wait_all();
-  if (swap_ != nullptr) swap_->wait_all();
+  drain();
   sync_pinned_masters();
 
   std::size_t iterations;
@@ -1237,7 +1173,9 @@ ckpt::Snapshot StrongholdEngine::capture_snapshot() {
 
 void StrongholdEngine::restore_snapshot(const ckpt::Snapshot& snap) {
   obs::ObsScope scope("ckpt", "restore_install");
-  quiesce_and_sync_masters();
+  // Drain only: every master is overwritten below, and a fresh engine's
+  // tier holds no region to read a master back from.
+  drain();
 
   const auto geom = snap.blobs.get<CkptGeometry>("engine.geometry");
   const std::size_t accum = std::max<std::size_t>(cfg_.grad_accumulation, 1);
@@ -1333,7 +1271,7 @@ void StrongholdEngine::restore_snapshot(const ckpt::Snapshot& snap) {
   for (std::size_t i = 0; i < store_.size(); ++i) {
     LayerState& st = store_.state(i);
     if (st.gpu_slot == nullptr) continue;
-    refresh_device_copy(st);
+    fill_slot(st, st.gpu_slot);
     if (st.swap_backed) store_.write_back(i);
   }
   if (swap_ != nullptr) {
@@ -1402,6 +1340,12 @@ EngineStats StrongholdEngine::stats() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   EngineStats s = stats_;
   s.window = window_;
+  // Transfers are counted once, on the links; updates live, on the pool.
+  s.h2d_transfers = h2d_.completed_transfers();
+  s.h2d_bytes = h2d_.bytes_transferred();
+  s.d2h_transfers = d2h_.completed_transfers();
+  s.d2h_bytes = d2h_.bytes_transferred();
+  s.optimizer_updates = opts_.updates_completed();
   s.gpu_high_water_bytes = gpu_pool_.peak_bytes();
   s.arena = gpu_pool_.stats();
   if (swap_) {
@@ -1439,10 +1383,6 @@ void StrongholdEngine::export_metrics(obs::MetricsSnapshot& out) const {
           n(s.d2h_bytes) / n(std::max<std::size_t>(s.iterations, 1)),
           "bytes");
   out.add("engine.d2h_queue_depth", n(d2h_.queue_depth()));
-  // True wire bytes as seen by the links themselves (dtype-honest: bf16
-  // reports 2 bytes/element).
-  out.add("engine.h2d_link_bytes", n(h2d_.bytes_transferred()), "bytes");
-  out.add("engine.d2h_link_bytes", n(d2h_.bytes_transferred()), "bytes");
   out.add("engine.window_elem_bytes", n(elem_bytes_), "bytes");
   out.add("engine.swap_backed_layers", n(s.swap_backed_layers), "layers");
   out.add("engine.ckpt_snapshots", n(s.ckpt_snapshots));

@@ -24,10 +24,8 @@
 // the equivalence tests. Asynchrony never introduces stale updates.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -338,9 +336,8 @@ class StrongholdEngine {
   LayerState& block(std::size_t b) { return store_.state(b); }
 
   void setup_pinned_layers();
-  /// Drains transfers/updates and pulls pinned-layer parameters back into
-  /// the CPU masters so they are authoritative.
-  void quiesce_and_sync_masters();
+  /// Waits until the optimizer pool, both links and the swap tier are idle.
+  void drain();
   /// Copies the pinned embedding/head parameters (updated in place on the
   /// GPU) back into their CPU masters. Call with updates drained.
   void sync_pinned_masters();
@@ -352,6 +349,10 @@ class StrongholdEngine {
                              std::span<const std::int32_t> ids,
                              std::int64_t n_new);
   void prefetch(std::size_t index);
+  /// Window slots to reserve for `window` layers when `fit` slots fit the
+  /// device: the window, one fetch stage slot, and an eviction stage slot
+  /// while it fits.
+  std::size_t slots_for(std::size_t window, std::size_t fit) const;
   /// Binds `slot` to the layer and enqueues the asynchronous host->device
   /// copy (with optimizer/tier dependencies). The copy encodes the FP32
   /// master into the window dtype.
@@ -386,18 +387,22 @@ class StrongholdEngine {
   static std::uint64_t param_event(const LayerState& st) noexcept {
     return 2 * static_cast<std::uint64_t>(st.step);
   }
-  /// Refreshes a layer's device-resident copy from its FP32 master after a
-  /// checkpoint restore (dtype-aware; pinned layers stay f32).
-  void refresh_device_copy(LayerState& st);
+  /// Writes a layer's FP32 master into `slot` in the slot's dtype (bf16 for
+  /// window blocks of a bf16 window, f32 otherwise) and zeroes the gradient
+  /// half: a fetch, or a refresh after a checkpoint restore.
+  void fill_slot(LayerState& st, std::byte* slot);
+  /// Sums the executors' gradient scratch for `st` into `dst`, then hands
+  /// the sum to the configured grad_reducer.
+  void reduce_grads_into(const LayerState& st, float* dst);
   void evict_after_forward(LayerState& st);
   void evict_after_backward(LayerState& st);
   void update_resident_layer(LayerState& st);
   /// Update path for the pinned embedding/head (direct, or deferred when
   /// gradient clipping awaits the global norm).
   void apply_pinned_update(LayerState& st, float* buffer);
-  /// Runs `update` now, or, under clipping, records the layer's squared
-  /// gradient norm and queues `update` behind this iteration's clip factor.
-  void defer_until_clipped(LayerState& st, std::function<void()> update);
+  /// Runs `update` now, or, under clipping, queues it until
+  /// finalize_clipped_updates has scaled every gradient by the global norm.
+  void defer_until_clipped(std::function<void()> update);
   bool clipping() const noexcept { return cfg_.clip_grad_norm > 0.0f; }
   void begin_iteration_lr_and_clip();
   void finalize_clipped_updates();
@@ -460,14 +465,8 @@ class StrongholdEngine {
   std::size_t micro_index_ = 0;   // position within the accumulation cycle
   bool accum_first_ = true;       // first micro-step: overwrite accumulators
   bool accum_final_ = true;       // last micro-step: apply the updates
-  /// Per-iteration clip factor. Asynchronous update tasks capture the
-  /// shared_ptr of THEIR iteration, so a late-running update never observes
-  /// the next iteration's reset value.
-  std::shared_ptr<std::atomic<float>> clip_scale_ =
-      std::make_shared<std::atomic<float>>(1.0f);
-  std::shared_future<void> clip_ready_;
-  std::promise<void> clip_promise_;
-  std::vector<double> grad_sumsq_;           // per layer unit, layer order
+  /// Under clipping, this iteration's layer updates in backward order; no
+  /// update exists before the global norm does.
   std::vector<std::function<void()>> deferred_updates_;
 
   // Activation-spill registry (one entry per transformer block). Keys on the

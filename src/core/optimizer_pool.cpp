@@ -34,11 +34,16 @@ void OptimizerPool::enable_moment_tier(LayerStore& store) {
 
 void OptimizerPool::prefetch_moments(LayerState& st) {
   if (store_ == nullptr || !st.opt_tiered) return;
+  claim_moments(st, moment_prefetches_);
+}
+
+OptimizerPool::MomentLease* OptimizerPool::claim_moments(
+    LayerState& st, std::atomic<std::size_t>& reads) {
   MomentLease* lease = nullptr;
   {
     std::unique_lock lk(moment_mu_);
     for (auto& l : leases_) {
-      if (l.owner == &st) return;  // read already staged or pending
+      if (l.owner == &st) return &l;  // read already staged or pending
     }
     moment_cv_.wait(lk, [&] {
       for (auto& l : leases_) {
@@ -57,32 +62,7 @@ void OptimizerPool::prefetch_moments(LayerState& st) {
   lease->read = store_->swap()->read_async(
       LayerStore::moment_key(st.index),
       std::span<float>(lease->buf.data(), store_->opt_floats(st.index)));
-  moment_prefetches_.fetch_add(1, std::memory_order_relaxed);
-}
-
-OptimizerPool::MomentLease* OptimizerPool::acquire_moments(LayerState& st) {
-  MomentLease* lease = nullptr;
-  {
-    std::unique_lock lk(moment_mu_);
-    for (auto& l : leases_) {
-      if (l.owner == &st) return &l;
-    }
-    moment_cv_.wait(lk, [&] {
-      for (auto& l : leases_) {
-        if (l.owner == nullptr) {
-          lease = &l;
-          return true;
-        }
-      }
-      return false;
-    });
-    lease->owner = &st;
-  }
-  if (lease->last_op.valid()) lease->last_op.wait();
-  lease->read = store_->swap()->read_async(
-      LayerStore::moment_key(st.index),
-      std::span<float>(lease->buf.data(), store_->opt_floats(st.index)));
-  moment_demand_reads_.fetch_add(1, std::memory_order_relaxed);
+  reads.fetch_add(1, std::memory_order_relaxed);
   return lease;
 }
 
@@ -95,64 +75,61 @@ void OptimizerPool::release_moments(MomentLease* lease,
   moment_cv_.notify_all();
 }
 
+void OptimizerPool::step_layer(optim::Optimizer& opt, LayerState& st,
+                               float* params, const float* grads, float lr) {
+  float* opt_state = st.cpu_opt.data();
+  MomentLease* lease = nullptr;
+  if (store_ != nullptr && st.opt_tiered) {
+    lease = claim_moments(st, moment_demand_reads_);
+    try {
+      lease->read.get();
+    } catch (...) {
+      release_moments(lease, {});
+      throw;
+    }
+    opt_state = lease->buf.data();
+  }
+  ++st.step;
+  opt.step(params, grads, opt_state, st.step, st.params, lr);
+  if (lease != nullptr) {
+    auto wb = store_->swap()->write_async(
+        LayerStore::moment_key(st.index),
+        std::span<const float>(lease->buf.data(),
+                               store_->opt_floats(st.index)));
+    moment_writes_.fetch_add(1, std::memory_order_relaxed);
+    release_moments(lease, std::move(wb));
+  }
+  completed_.fetch_add(1, std::memory_order_relaxed);
+}
+
 std::shared_future<void> OptimizerPool::submit(LayerState& st,
                                                std::shared_future<void> after,
                                                std::function<void()> post_update,
-                                               float lr,
-                                               std::function<float()> grad_scale) {
+                                               float lr) {
   const std::size_t actor =
       next_actor_.fetch_add(1, std::memory_order_relaxed) % actors_.size();
   optim::Optimizer* opt = actors_[actor].get();
   in_flight_.fetch_add(1, std::memory_order_relaxed);
   auto fut = pool_.async([this, opt, &st, after, lr,
-                          post = std::move(post_update),
-                          scale = std::move(grad_scale)] {
+                          post = std::move(post_update)] {
     struct InFlight {
       std::atomic<std::size_t>& n;
       ~InFlight() { n.fetch_sub(1, std::memory_order_relaxed); }
     } in_flight_guard{in_flight_};
     if (after.valid()) after.wait();
     const double t0 = wall_seconds();
-    // Stage NVMe-resident moments. Acquisition is deliberately lazy (after
-    // `after`): no staging buffer is held while waiting on the clip gate.
-    float* opt_state = st.cpu_opt.data();
-    MomentLease* lease = nullptr;
-    std::size_t lease_floats = 0;
-    if (store_ != nullptr && st.opt_tiered) {
-      lease = acquire_moments(st);
-      lease_floats = store_->opt_floats(st.index);
-      try {
-        lease->read.get();
-      } catch (const storage::IoError&) {
-        // Tier retry budget exhausted: drop this layer's step whole — params,
-        // moments and step count all stay unchanged (no torn update). The
-        // permanent failure is latched in the tier and re-raised as a typed
-        // IoError at the step boundary via SwapFile::rethrow_pending().
-        moment_update_skips_.fetch_add(1, std::memory_order_relaxed);
-        release_moments(lease, {});
-        return;
-      }
-      opt_state = lease->buf.data();
-    }
-    if (scale) {
-      const float s = scale();
-      if (s != 1.0f) {
-        for (std::int64_t i = 0; i < st.params; ++i) st.cpu_grads[i] *= s;
-      }
-    }
-    ++st.step;
-    opt->step(st.cpu_params.data(), st.cpu_grads.data(), opt_state, st.step,
-              st.params, lr);
-    if (lease != nullptr) {
-      auto wb = store_->swap()->write_async(
-          LayerStore::moment_key(st.index),
-          std::span<const float>(lease->buf.data(), lease_floats));
-      moment_writes_.fetch_add(1, std::memory_order_relaxed);
-      release_moments(lease, std::move(wb));
+    try {
+      step_layer(*opt, st, st.cpu_params.data(), st.cpu_grads.data(), lr);
+    } catch (const storage::IoError&) {
+      // Tier retry budget exhausted: drop this layer's step whole — params,
+      // moments and step count all stay unchanged (no torn update). The
+      // permanent failure is latched in the tier and re-raised as a typed
+      // IoError at the step boundary via SwapFile::rethrow_pending().
+      moment_update_skips_.fetch_add(1, std::memory_order_relaxed);
+      return;
     }
     if (post) post();
     obs::span("cpu-opt", "update", t0, wall_seconds());
-    completed_.fetch_add(1, std::memory_order_relaxed);
   });
   st.update_done = fut.share();
   return st.update_done;
@@ -161,32 +138,7 @@ std::shared_future<void> OptimizerPool::submit(LayerState& st,
 void OptimizerPool::update_now(LayerState& st, float* params,
                                const float* grads, float lr) {
   obs::ObsScope scope("cpu-opt", "update_now");
-  float* opt_state = st.cpu_opt.data();
-  MomentLease* lease = nullptr;
-  std::size_t lease_floats = 0;
-  if (store_ != nullptr && st.opt_tiered) {
-    lease = acquire_moments(st);
-    lease_floats = store_->opt_floats(st.index);
-    try {
-      lease->read.get();
-    } catch (...) {
-      // Synchronous caller (control thread): release the slot and let the
-      // typed IoError propagate to the step boundary before any mutation.
-      release_moments(lease, {});
-      throw;
-    }
-    opt_state = lease->buf.data();
-  }
-  ++st.step;
-  actors_[0]->step(params, grads, opt_state, st.step, st.params, lr);
-  if (lease != nullptr) {
-    auto wb = store_->swap()->write_async(
-        LayerStore::moment_key(st.index),
-        std::span<const float>(lease->buf.data(), lease_floats));
-    moment_writes_.fetch_add(1, std::memory_order_relaxed);
-    release_moments(lease, std::move(wb));
-  }
-  completed_.fetch_add(1, std::memory_order_relaxed);
+  step_layer(*actors_[0], st, params, grads, lr);
 }
 
 void OptimizerPool::wait_all() { pool_.wait_idle(); }

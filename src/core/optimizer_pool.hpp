@@ -31,18 +31,18 @@ class OptimizerPool {
   /// grads and optimizer state. If `after` is valid, the update waits for it
   /// first (e.g. the grad d2h copy). `post_update` runs inside the task after
   /// the step (e.g. the NVMe tier write-back). `lr` overrides the learning
-  /// rate (schedules); `grad_scale`, when set, is evaluated inside the task
-  /// and applied to the gradients before the step (global-norm clipping —
-  /// the factor is only known once every layer's gradient has landed).
-  /// Returns the completion future and also stores it in `st.update_done`.
+  /// rate (schedules). A failed moment read skips the update whole and
+  /// counts it in moment_update_skips(). Returns the completion future and
+  /// also stores it in `st.update_done`.
   std::shared_future<void> submit(LayerState& st,
                                   std::shared_future<void> after = {},
                                   std::function<void()> post_update = {},
-                                  float lr = -1.0f,
-                                  std::function<float()> grad_scale = {});
+                                  float lr = -1.0f);
 
   /// Runs an update synchronously on the caller's thread (used for the
-  /// GPU-pinned layers, whose update the paper performs on the GPU).
+  /// GPU-pinned layers, whose update the paper performs on the GPU). A
+  /// failed moment read propagates its storage::IoError before any state
+  /// changes.
   void update_now(LayerState& st, float* params, const float* grads,
                   float lr = -1.0f);
 
@@ -88,9 +88,17 @@ class OptimizerPool {
     LayerState* owner = nullptr;
   };
 
-  /// Returns the lease staging `st`'s moments, issuing a demand read when no
-  /// prefetch is pending. The pending read is NOT yet waited on.
-  MomentLease* acquire_moments(LayerState& st);
+  /// Returns the lease staging `st`'s moments. When `st` holds none yet, it
+  /// claims a free one, issues the tier read into it and counts the read in
+  /// `reads`. The read is NOT yet waited on.
+  MomentLease* claim_moments(LayerState& st,
+                             std::atomic<std::size_t>& reads);
+  /// The one optimizer-step body: stages tier moments, steps `params`
+  /// against `grads` with `opt`, queues the moment write-back and counts the
+  /// update. A failed moment read releases the lease and rethrows before
+  /// anything is mutated.
+  void step_layer(optim::Optimizer& opt, LayerState& st, float* params,
+                  const float* grads, float lr);
   void release_moments(MomentLease* lease,
                        std::shared_future<void> write_back);
 

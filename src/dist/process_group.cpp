@@ -20,6 +20,7 @@ Barrier::Barrier(int world) : world_(world) {
 
 void Barrier::arrive_and_wait() {
   std::unique_lock<std::mutex> lock(mu_);
+  if (aborted_) throw Aborted("dist::Barrier aborted");
   const std::uint64_t gen = generation_;
   if (++waiting_ == world_) {
     waiting_ = 0;
@@ -27,7 +28,14 @@ void Barrier::arrive_and_wait() {
     cv_.notify_all();
     return;
   }
-  cv_.wait(lock, [&] { return generation_ != gen; });
+  cv_.wait(lock, [&] { return generation_ != gen || aborted_; });
+  if (generation_ == gen) throw Aborted("dist::Barrier aborted");
+}
+
+void Barrier::abort() {
+  std::lock_guard<std::mutex> lock(mu_);
+  aborted_ = true;
+  cv_.notify_all();
 }
 
 ProcessGroup::ProcessGroup(int world) : world_(world), barrier_(world) {

@@ -16,11 +16,20 @@
 
 namespace sh::dist {
 
+/// Thrown by Barrier::arrive_and_wait once the barrier has been aborted.
+class Aborted : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// A reusable sense-reversing barrier for `world` participants.
 class Barrier {
  public:
   explicit Barrier(int world);
   void arrive_and_wait();
+  /// Fails the barrier for good: current and later waiters throw Aborted,
+  /// so a participant that dies cannot leave its peers parked.
+  void abort();
 
  private:
   std::mutex mu_;
@@ -28,6 +37,7 @@ class Barrier {
   int world_;
   int waiting_ = 0;
   std::uint64_t generation_ = 0;
+  bool aborted_ = false;
 };
 
 /// Collective communication over `world` rank-threads. Every rank must call

@@ -156,6 +156,45 @@ TEST_P(CheckpointAcrossWindows, ResumesBitIdenticallyAtAnotherWindowSize) {
   }
 }
 
+class CheckpointFreshEngine : public ::testing::TestWithParam<WindowCase> {};
+
+TEST_P(CheckpointFreshEngine, SwapBackedRestoresWithoutInitParams) {
+  // A restore overwrites every master, so it must not read one back from
+  // the tier first: a fresh engine's tier holds no region yet. Restored
+  // without init_params, the engine continues exactly like its source.
+  const auto mcfg = tiny_config();
+  data::SyntheticCorpus corpus(mcfg.vocab, 53);
+  std::vector<data::Batch> batches;
+  for (int i = 0; i < 4; ++i) batches.push_back(corpus.next_batch(2, mcfg.max_seq));
+
+  EngineConfig cfg;
+  cfg.window = 1;
+  cfg.window_dtype = GetParam().dtype;
+  cfg.window_rounding = GetParam().rounding;
+  cfg.cpu_capacity_bytes = 64 * 1024;
+  const std::string tag = GetParam().name;
+  cfg.swap_path = ::testing::TempDir() + "fresh_restore_src_" + tag + ".bin";
+  nn::GptModel m1(mcfg);
+  StrongholdEngine source(m1, cfg);
+  ASSERT_GT(source.stats().swap_backed_layers, 0u);
+  source.init_params(42);
+  for (int i = 0; i < 2; ++i) source.train_step(batches[static_cast<std::size_t>(i)]);
+  const ckpt::Snapshot snap = source.capture_snapshot();
+
+  cfg.swap_path = ::testing::TempDir() + "fresh_restore_dst_" + tag + ".bin";
+  nn::GptModel m2(mcfg);
+  StrongholdEngine fresh(m2, cfg);
+  fresh.restore_snapshot(snap);  // no init_params
+  for (int i = 2; i < 4; ++i) {
+    const auto& b = batches[static_cast<std::size_t>(i)];
+    EXPECT_EQ(fresh.train_step(b), source.train_step(b)) << "step " << i + 1;
+  }
+  std::vector<float> want, got;
+  source.snapshot_params(want);
+  fresh.snapshot_params(got);
+  sh::testing::expect_allclose(got, want, 0.0f, 0.0f);
+}
+
 const WindowCase kWindowCases[] = {
     {"f32", tensor::DType::f32, tensor::Rounding::nearest_even},
     {"bf16", tensor::DType::bf16, tensor::Rounding::nearest_even},
@@ -169,6 +208,8 @@ std::string window_case_name(const ::testing::TestParamInfo<WindowCase>& info) {
 INSTANTIATE_TEST_SUITE_P(Windows, CheckpointResident,
                          ::testing::ValuesIn(kWindowCases), window_case_name);
 INSTANTIATE_TEST_SUITE_P(Windows, CheckpointAcrossWindows,
+                         ::testing::ValuesIn(kWindowCases), window_case_name);
+INSTANTIATE_TEST_SUITE_P(Windows, CheckpointFreshEngine,
                          ::testing::ValuesIn(kWindowCases), window_case_name);
 
 }  // namespace

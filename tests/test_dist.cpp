@@ -52,6 +52,27 @@ TEST(Barrier, IsReusableAcrossGenerations) {
   EXPECT_EQ(phase_sum.load(), 10 * (0 + 1 + 2));
 }
 
+TEST(Barrier, AbortReleasesCurrentAndLaterWaiters) {
+  // Two of three participants wait; the third fails and aborts instead of
+  // arriving. Both waiters leave with Aborted, and so does any later
+  // arrival: a dead participant cannot park its peers.
+  Barrier b(3);
+  std::atomic<int> aborted{0};
+  run_ranks(3, [&](int rank) {
+    if (rank == 0) {
+      b.abort();
+      return;
+    }
+    try {
+      b.arrive_and_wait();
+    } catch (const Aborted&) {
+      aborted.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(aborted.load(), 2);
+  EXPECT_THROW(b.arrive_and_wait(), Aborted);
+}
+
 TEST(ProcessGroup, AllReduceSumsAcrossRanks) {
   const int world = 4;
   ProcessGroup pg(world);

@@ -316,6 +316,46 @@ TEST(DataParallelElastic, StochasticRoundingRankRejoinsBitIdentically) {
   }
 }
 
+TEST(DataParallelElastic, SwapBackedRankRejoinsBitIdentically) {
+  // With a CPU budget, masters of the later blocks live on the swap tier. A
+  // joining rank's engine is fresh — no init_params, no tier regions — and
+  // seeds from a live snapshot; the world must still match an
+  // uninterrupted run bit for bit.
+  const auto mcfg = tiny_config();
+  const auto batches = make_batches(mcfg, 4);
+  core::EngineConfig ecfg;
+  ecfg.window = 2;
+  ecfg.cpu_capacity_bytes = 64 * 1024;
+
+  ecfg.swap_path = ::testing::TempDir() + "dp_rejoin_swap_ref.bin";
+  DataParallelTrainer ref(mcfg, ecfg, 2);
+  ASSERT_GT(ref.stats(0).swap_backed_layers, 0u);
+  ref.init_params(42);
+  std::vector<float> ref_losses;
+  for (const auto& b : batches) ref_losses.push_back(ref.train_step(b));
+  std::vector<float> ref_params;
+  ref.snapshot_params(0, ref_params);
+
+  ecfg.swap_path = ::testing::TempDir() + "dp_rejoin_swap.bin";
+  DataParallelTrainer trainer(mcfg, ecfg, 2);
+  trainer.init_params(42);
+  std::vector<float> losses;
+  losses.push_back(trainer.train_step(batches[0]));
+  losses.push_back(trainer.train_step(batches[1]));
+  trainer.remove_rank(1);
+  trainer.add_rank();
+  EXPECT_EQ(trainer.world(), 2);
+  losses.push_back(trainer.train_step(batches[2]));
+  losses.push_back(trainer.train_step(batches[3]));
+
+  EXPECT_EQ(losses, ref_losses);
+  for (int r = 0; r < trainer.world(); ++r) {
+    std::vector<float> pr;
+    trainer.snapshot_params(r, pr);
+    sh::testing::expect_allclose(pr, ref_params, 0.0f, 0.0f);
+  }
+}
+
 TEST(DataParallelElastic, WorldShrinksAndRegrowsAcrossSteps) {
   // Train at world 8, shrink to 4 (batch re-shards over fewer ranks), grow
   // back to 8 — replicas stay bitwise identical throughout.

@@ -3,8 +3,18 @@
 // training exactly.
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <spawn.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <chrono>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -12,6 +22,8 @@
 #include "data/synthetic.hpp"
 #include "storage/fault_plan.hpp"
 #include "testing/util.hpp"
+
+extern char** environ;
 
 namespace sh::core {
 namespace {
@@ -216,17 +228,22 @@ TEST(Engine, FaultyTierLossBitIdentical) {
   sh::testing::expect_allclose(params, ref_params, 0.0f, 0.0f);
 }
 
-TEST(Engine, FaultBudgetExhaustedRaisesIoError) {
+class EngineFault : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(EngineFault, FaultBudgetExhaustedRaisesIoError) {
   // A permanently failing tier (every read attempt EIOs, budget SIZE_MAX)
   // must surface as a typed storage::IoError from train_step — the trainer
-  // can checkpoint — not as an abort or a hang. The engine must still tear
-  // down cleanly afterwards.
+  // can checkpoint — not as an abort or a hang, whatever the executor
+  // count: executor 0 fails in its fetch while its peers wait on the step
+  // barrier. The engine must still tear down cleanly afterwards.
   const auto mcfg = tiny_config();
-  const auto batches = make_batches(2, mcfg.max_seq, 1);
+  const auto batches = make_batches(4, mcfg.max_seq, 1);
   EngineConfig ecfg;
   ecfg.window = 1;
+  ecfg.num_executors = GetParam();
   ecfg.cpu_capacity_bytes = 64 * 1024;
-  ecfg.swap_path = ::testing::TempDir() + "engine_swap_dead.bin";
+  ecfg.swap_path = ::testing::TempDir() + "engine_swap_dead_" +
+                   std::to_string(GetParam()) + ".bin";
   ecfg.swap_faults.rate = 1.0;
   ecfg.swap_faults.latency_weight = 0.0;
   ecfg.swap_faults.short_weight = 0.0;
@@ -244,6 +261,151 @@ TEST(Engine, FaultBudgetExhaustedRaisesIoError) {
     EXPECT_THROW(engine.train_step(batches[0]), storage::IoError);
     EXPECT_GT(engine.stats().swap_io_errors, 0u);
   }  // destructor joins the workers without hanging or rethrowing
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Executors, EngineFault,
+    ::testing::Values(std::size_t{1}, std::size_t{2}, std::size_t{4}),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return std::to_string(info.param);
+    });
+
+/// True in the child process run_in_child_within() starts.
+bool in_watchdog_child() {
+  return std::getenv("STRONGHOLD_TEST_WATCHDOG_CHILD") != nullptr;
+}
+
+/// Runs the current test again, alone, in a child process of this binary
+/// and fails it if the child does not exit successfully within `seconds`.
+/// For tests whose failure mode is a hang: the child is killed instead.
+void run_in_child_within(double seconds) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string filter = std::string("--gtest_filter=") +
+                             info->test_suite_name() + "." + info->name();
+  char exe[4096];
+  const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
+  ASSERT_GT(n, 0);
+  exe[n] = '\0';
+  const char* argv[] = {exe, filter.c_str(), nullptr};
+  ::setenv("STRONGHOLD_TEST_WATCHDOG_CHILD", "1", 1);
+  pid_t pid = -1;
+  const int rc = ::posix_spawn(&pid, exe, nullptr, nullptr,
+                               const_cast<char* const*>(argv), environ);
+  ::unsetenv("STRONGHOLD_TEST_WATCHDOG_CHILD");
+  ASSERT_EQ(rc, 0) << "posix_spawn failed";
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(seconds);
+  int status = 0;
+  while (::waitpid(pid, &status, WNOHANG) == 0) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, &status, 0);
+      FAIL() << "hung: the child did not finish within " << seconds << " s";
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "the child failed; its output is above";
+}
+
+std::vector<std::int64_t> layer_steps(StrongholdEngine& engine) {
+  const ckpt::Snapshot snap = engine.capture_snapshot();
+  const auto& blob = snap.blobs.entries.at("engine.layer_steps");
+  std::vector<std::int64_t> steps(blob.size() / sizeof(std::int64_t));
+  std::memcpy(steps.data(), blob.data(), blob.size());
+  return steps;
+}
+
+TEST(EngineClipFault, MidStepTierFaultAppliesNoUpdateAndTearsDown) {
+  // Under global-norm clipping no layer update exists before the norm does,
+  // so a tier read that fails mid-step applies none of that step's updates:
+  // every layer's optimizer step still equals the iteration count, also
+  // after training on, and capture and teardown return instead of waiting
+  // on updates that can never run. The failure mode this guards against is
+  // a hang, so the test body runs in a child process under a deadline.
+  if (!in_watchdog_child()) {
+    run_in_child_within(120.0);
+    return;
+  }
+  nn::GptConfig mcfg = tiny_config();
+  mcfg.layers = 6;
+  const std::size_t window = 1;
+  // The fault plan is a seeded pure function: search for a seed that fails
+  // a fetch read during backward, after some blocks have offloaded their
+  // gradients — the point where their updates would already exist if they
+  // were queued before the norm.
+  bool exercised = false;
+  for (std::uint64_t seed = 0; seed < 64 && !exercised; ++seed) {
+    EngineConfig ecfg;
+    ecfg.window = window;
+    ecfg.clip_grad_norm = 1.0f;
+    ecfg.cpu_capacity_bytes = 16 * 1024;
+    ecfg.swap_path = ::testing::TempDir() + "engine_clip_fault.bin";
+    ecfg.swap_faults.rate = 0.02;
+    ecfg.swap_faults.seed = seed;
+    ecfg.swap_faults.latency_weight = 0.0;
+    ecfg.swap_faults.short_weight = 0.0;
+    ecfg.swap_faults.fault_writes = false;  // reads only: faults are mid-step
+    ecfg.swap_faults.max_faults_per_op =
+        std::numeric_limits<std::size_t>::max();
+    ecfg.swap_faults.max_attempts = 1;
+    nn::GptModel model(mcfg);
+    StrongholdEngine engine(model, ecfg);
+    engine.init_params(42);
+    ASSERT_GT(engine.stats().swap_backed_layers, 0u);
+    data::SyntheticCorpus corpus(mcfg.vocab, 9);
+    std::size_t completed = 0;
+    try {
+      for (; completed < 20; ++completed) {
+        engine.train_step(corpus.next_batch(2, mcfg.max_seq));
+      }
+      continue;  // no read faulted within the horizon; next seed
+    } catch (const storage::IoError&) {
+    }
+    ASSERT_EQ(engine.stats().iterations, completed) << "seed " << seed;
+    const std::vector<std::int64_t> steps = layer_steps(engine);  // drains
+    EXPECT_EQ(steps, std::vector<std::int64_t>(
+                         model.num_layers(),
+                         static_cast<std::int64_t>(completed)))
+        << "seed " << seed;
+    // Every completed step offloads the gradients of the blocks outside the
+    // window; any beyond that were offloaded by the failed step.
+    const auto offloaded = static_cast<std::size_t>(mcfg.layers) - window;
+    exercised = engine.stats().d2h_transfers > completed * offloaded;
+    // Training on must not apply the failed step's updates late.
+    for (int i = 0; i < 2; ++i) {
+      try {
+        engine.train_step(corpus.next_batch(2, mcfg.max_seq));
+      } catch (const storage::IoError&) {
+      }
+    }
+    const auto iterations =
+        static_cast<std::int64_t>(engine.stats().iterations);
+    EXPECT_EQ(layer_steps(engine),
+              std::vector<std::int64_t>(model.num_layers(), iterations))
+        << "seed " << seed;
+  }  // each engine destructs here, with the failed step's updates dropped
+  ASSERT_TRUE(exercised)
+      << "no fault seed in [0,64) failed a read during backward";
+}
+
+TEST(Engine, OptimizerUpdatesCountEveryAppliedUpdate) {
+  // stats().optimizer_updates reads the pool's live counter: once
+  // snapshot_params has drained the pool, it counts every update applied,
+  // including those still queued behind a slow d2h link at step end.
+  const auto mcfg = tiny_config();
+  const auto batches = make_batches(2, mcfg.max_seq, 3);
+  nn::GptModel model(mcfg);
+  EngineConfig ecfg;
+  ecfg.window = 1;
+  ecfg.d2h_bytes_per_s = 1e6;
+  StrongholdEngine engine(model, ecfg);
+  engine.init_params(3);
+  for (const auto& b : batches) engine.train_step(b);
+  std::vector<float> params;
+  engine.snapshot_params(params);
+  EXPECT_EQ(engine.stats().optimizer_updates,
+            batches.size() * model.num_layers());
 }
 
 TEST(Engine, AutoWindowSelectsAndFreezes) {

@@ -198,7 +198,6 @@ TEST(OptTier, ExhaustedBudgetRaisesIoErrorWithoutTornState) {
       threw = true;
     }
     EXPECT_TRUE(threw) << "dead moment tier never surfaced an IoError";
-    EXPECT_GT(engine.stats().moment_update_skips, 0u);
 
     // Every tiered update was skipped whole: the offloadable blocks'
     // masters are exactly the post-init values, never a torn mix of
@@ -206,6 +205,9 @@ TEST(OptTier, ExhaustedBudgetRaisesIoErrorWithoutTornState) {
     // are not tiered and legitimately complete their updates.)
     std::vector<float> after;
     engine.snapshot_params(after);
+    // Read after the drain: the skipped updates may still be queued when
+    // train_step throws.
+    EXPECT_GT(engine.stats().moment_update_skips, 0u);
     ASSERT_EQ(after.size(), before.size());
     const auto head =
         static_cast<std::size_t>(model.layer(0).param_count());
