@@ -3,6 +3,7 @@
 // in-process collectives and the analytical window solver.
 #include <benchmark/benchmark.h>
 
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -96,7 +97,10 @@ void BM_TransferEngineCopy(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::vector<float> src(n, 1.0f), dst(n, 0.0f);
   for (auto _ : state) {
-    eng.copy_async(src.data(), dst.data(), n).get();
+    eng.run_async([&] {
+         std::memcpy(dst.data(), src.data(), n * sizeof(float));
+         eng.transfer(n * sizeof(float));
+       }).get();
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(n * sizeof(float)));

@@ -27,13 +27,6 @@ double now_seconds() {
       .count();
 }
 
-void throttle_sleep(double bytes, double bytes_per_s) {
-  if (bytes_per_s > 0.0) {
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(bytes / bytes_per_s));
-  }
-}
-
 /// The first micro-step of an accumulation cycle overwrites a layer's CPU
 /// gradient accumulator; later ones add to it.
 void accumulate_grads(LayerState& st, const float* g, bool overwrite) {
@@ -87,8 +80,8 @@ StrongholdEngine::StrongholdEngine(nn::GptModel& model, EngineConfig config)
              swap_.get(),
              /*tier_optimizer=*/cfg_.optimizer_tier == OptimizerTier::nvme),
       gpu_pool_("gpu", cfg_.gpu_memory_bytes),
-      h2d_("h2d"),
-      d2h_("d2h"),
+      h2d_("h2d", cfg_.h2d_bytes_per_s),
+      d2h_("d2h", cfg_.d2h_bytes_per_s),
       adam_proto_(cfg_.adam),
       opts_(adam_proto_, cfg_.optimizer_workers) {
   if (cfg_.num_executors == 0) {
@@ -311,11 +304,10 @@ void StrongholdEngine::prefetch(std::size_t index) {
 void StrongholdEngine::issue_fetch(LayerState& st, std::byte* slot) {
   st.gpu_slot = slot;
   auto update_done = st.update_done;  // wait for a pending optimizer step
-  const double rate = cfg_.h2d_bytes_per_s;
   LayerProfile* prof = (st.index >= 1 && st.index <= num_blocks())
                            ? &profiles_[st.index - 1]
                            : nullptr;
-  st.ready = h2d_.run_async([this, &st, slot, update_done, rate, prof] {
+  st.ready = h2d_.run_async([this, &st, slot, update_done, prof] {
     if (update_done.valid()) update_done.wait();
     // Fault the master in from the NVMe tier if needed (Section III-G).
     // get(), not wait(): a tier read whose retry budget is exhausted
@@ -326,11 +318,9 @@ void StrongholdEngine::issue_fetch(LayerState& st, std::byte* slot) {
     // st.step is read after update_done, so a bf16 encode is keyed on the
     // version of the master it encodes.
     fill_slot(st, slot);
-    const std::size_t wire = wire_param_bytes(st.params);
-    throttle_sleep(static_cast<double>(wire), rate);
+    h2d_.transfer(wire_param_bytes(st.params));
     if (prof != nullptr) prof->t_c2g = now_seconds() - t0;
     obs::span("h2d", "p", t0, now_seconds());
-    h2d_.record_transfer(wire);  // true wire bytes: the link's own counters
   });
 }
 
@@ -493,14 +483,12 @@ void StrongholdEngine::evict_after_backward(LayerState& st) {
   std::byte* slot = st.gpu_slot;
   st.gpu_slot = nullptr;
   const auto params = static_cast<std::size_t>(st.params);
-  const double rate = cfg_.d2h_bytes_per_s;
   LayerProfile* prof =
       (st.index >= 1 && st.index <= num_blocks()) ? &profiles_[st.index - 1]
                                                   : nullptr;
   // One FIFO job: offload gradients, then recycle the buffer.
   const bool overwrite = accum_first_;
-  auto copied = d2h_.run_async([this, &st, slot, params, rate, prof,
-                                overwrite] {
+  auto copied = d2h_.run_async([this, &st, slot, params, prof, overwrite] {
     const double t0 = now_seconds();
     if (bf16_window()) {
       // BF16 wire format: the gradient half of the slot already holds the
@@ -517,12 +505,10 @@ void StrongholdEngine::evict_after_backward(LayerState& st) {
     } else {
       accumulate_grads(st, reinterpret_cast<float*>(slot) + params, overwrite);
     }
-    const std::size_t wire = wire_param_bytes(st.params);
-    throttle_sleep(static_cast<double>(wire), rate);
+    d2h_.transfer(wire_param_bytes(st.params));
     if (prof != nullptr) prof->t_g2c = now_seconds() - t0;
     obs::span("d2h", "g", t0, now_seconds());
     pool_->release(slot);
-    d2h_.record_transfer(wire);
   });
   if (!accum_final_) return;  // mid-cycle: accumulate only, no update
   // Concurrent CPU-side update (Section III-E1), then NVMe write-back.
@@ -845,21 +831,24 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
 
   // A failing executor aborts the step's barrier, so its peers leave their
   // waits with dist::Aborted instead of parking; every thread is joined
-  // before the first real error is rethrown.
+  // before the first real error is rethrown. An Aborted is raised only when
+  // no executor failed otherwise: it then came from outside the step (the
+  // grad_reducer's collectives), and the step must not count as done.
   std::exception_ptr error;
+  std::exception_ptr aborted;
   std::mutex error_mu;
   auto run_executor = [&](std::size_t e) {
     try {
       executor_fn(e);
+      return;
     } catch (const dist::Aborted&) {
-      // A peer failed first; its error is the one to raise.
+      std::lock_guard<std::mutex> lock(error_mu);
+      if (!aborted) aborted = std::current_exception();
     } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!error) error = std::current_exception();
-      }
-      bar.abort();
+      std::lock_guard<std::mutex> lock(error_mu);
+      if (!error) error = std::current_exception();
     }
+    bar.abort();
   };
   std::vector<std::thread> threads;
   for (std::size_t e = 1; e < cfg_.num_executors; ++e) {
@@ -868,6 +857,7 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
   run_executor(0);
   for (auto& t : threads) t.join();
   if (error) std::rethrow_exception(error);
+  if (aborted) std::rethrow_exception(aborted);
 
   finalize_clipped_updates();
 
@@ -902,7 +892,6 @@ void StrongholdEngine::maybe_update_window() {
                                store_.state(head_index()).params);
   input.s_avail =
       static_cast<double>(gpu_pool_.capacity() - pinned_bytes);
-  input.t_async = cfg_.t_async;
 
   const WindowDecision d = solve_window(input);
   // The solver bounds d.m by its own memory model (max_m_by_memory), which

@@ -139,8 +139,6 @@ struct EngineConfig {
   /// retry budget surfaces from train_step as a typed storage::IoError the
   /// trainer can checkpoint on.
   storage::FaultConfig swap_faults{};
-  /// Async-call overhead handed to the window model (t_async).
-  double t_async = 0.0;
   /// Optional gradient hook invoked once per layer after the (executor-
   /// reduced) gradients land in the GPU buffer and before they are offloaded
   /// or applied. Data-parallel training installs an all-reduce here

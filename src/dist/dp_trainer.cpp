@@ -1,6 +1,7 @@
 #include "dist/dp_trainer.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -36,6 +37,13 @@ std::unique_ptr<DataParallelTrainer::Rank> DataParallelTrainer::make_rank() {
   auto rank = std::make_unique<Rank>();
   rank->model = std::make_unique<nn::GptModel>(model_config_);
   core::EngineConfig cfg = base_config_;
+  // Each replica owns its swap file: a SwapFile truncates its path on open
+  // and unlinks it on close, so ranks sharing one path would wipe each
+  // other's tier. The suffix counts ranks ever made, so a joiner never
+  // reuses a live rank's file (comm_index changes with elasticity).
+  if (!cfg.swap_path.empty()) {
+    cfg.swap_path += ".rank" + std::to_string(ranks_made_++);
+  }
   // Blocks reduce over the GPU channel; the pinned embedding/head over the
   // CPU channel. Each rank averages after the sum so every replica applies
   // the global-mean gradient. The lambda reads comm_index/inv_world_ at call
@@ -89,8 +97,11 @@ float DataParallelTrainer::train_step(const data::Batch& global_batch) {
   }
   const std::size_t shard = tokens / static_cast<std::size_t>(world);
 
+  // A failing rank aborts the collectives, so its peers leave their waits
+  // with dist::Aborted instead of parking in an all-reduce it never joins.
   std::vector<float> losses(static_cast<std::size_t>(world), 0.0f);
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(world));
+  std::vector<std::exception_ptr> aborts(static_cast<std::size_t>(world));
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(world));
   for (int r = 0; r < world; ++r) {
@@ -107,14 +118,23 @@ float DataParallelTrainer::train_step(const data::Batch& global_batch) {
                 static_cast<std::ptrdiff_t>(lo + shard));
         losses[static_cast<std::size_t>(r)] =
             ranks_[static_cast<std::size_t>(r)]->engine->train_step(local);
+      } catch (const Aborted&) {
+        aborts[static_cast<std::size_t>(r)] = std::current_exception();
+        comm_->abort();
       } catch (...) {
         errors[static_cast<std::size_t>(r)] = std::current_exception();
+        comm_->abort();
       }
     });
   }
   for (auto& t : threads) t.join();
+  // A rank's own failure outranks the Aborted it caused in its peers. The
+  // aborted collectives are replaced, so the trainer stays usable.
+  errors.insert(errors.end(), aborts.begin(), aborts.end());
   for (auto& err : errors) {
-    if (err) std::rethrow_exception(err);
+    if (!err) continue;
+    rebuild_comm();
+    std::rethrow_exception(err);
   }
   float mean = 0.0f;
   for (float l : losses) mean += l;

@@ -36,7 +36,9 @@ class DataParallelTrainer {
   /// StrongholdEngine configured from `engine_config` (the grad_reducer slot
   /// is taken over by the trainer; `engine_config.ckpt` is taken over too —
   /// the TRAINER owns the checkpoint directory, so the replicated state is
-  /// written once, not once per rank).
+  /// written once, not once per rank). A non-empty `swap_path` is suffixed
+  /// `.rank<n>` per replica, n counting every rank made, so no two replicas
+  /// ever share a swap file.
   DataParallelTrainer(const nn::GptConfig& model_config,
                       core::EngineConfig engine_config, int world);
 
@@ -48,7 +50,9 @@ class DataParallelTrainer {
   /// One data-parallel step: the global batch is split evenly across ranks;
   /// rank threads run concurrently and all-reduce gradients layer by layer.
   /// Returns the global mean loss. With `ckpt.every_n_steps` configured,
-  /// commits a snapshot of the replicated state at that cadence.
+  /// commits a snapshot of the replicated state at that cadence. When a rank
+  /// throws, its peers are released from the collectives and the rank's own
+  /// error is rethrown once every rank thread has joined.
   float train_step(const data::Batch& global_batch);
 
   /// Parameter snapshot of one rank (all ranks stay identical; verified by
@@ -109,6 +113,7 @@ class DataParallelTrainer {
   std::size_t floats_comm_base_ = 0;  // traffic of retired collectives
   std::size_t head_index_;
   std::int64_t seq_;
+  std::size_t ranks_made_ = 0;  // suffix of the next rank's swap path
   std::vector<std::unique_ptr<Rank>> ranks_;
 };
 

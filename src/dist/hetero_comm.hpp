@@ -30,6 +30,12 @@ class HeteroComm {
 
   int world() const noexcept { return gpu_.world(); }
 
+  /// Aborts both channels (ProcessGroup::abort).
+  void abort() {
+    gpu_.abort();
+    cpu_.abort();
+  }
+
   std::size_t floats_communicated() const {
     return gpu_.floats_communicated() + cpu_.floats_communicated();
   }

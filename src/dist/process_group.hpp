@@ -73,6 +73,10 @@ class ProcessGroup {
 
   void barrier(int rank);
 
+  /// Fails the group for good: ranks inside or entering a collective throw
+  /// Aborted, so a rank that dies cannot leave its peers parked.
+  void abort() { barrier_.abort(); }
+
   /// Total floats moved through collectives (communication volume counter,
   /// used by the Section VI-D2 experiments).
   std::size_t floats_communicated() const;

@@ -1,7 +1,6 @@
 #include "hw/transfer.hpp"
 
 #include <chrono>
-#include <cstring>
 #include <exception>
 #include <thread>
 
@@ -25,29 +24,11 @@ TransferEngine::~TransferEngine() {
   worker_.join();
 }
 
-std::shared_future<void> TransferEngine::copy_async(const void* src, void* dst,
-                                                    std::size_t bytes) {
-  const double throttle = bytes_per_second_;
-  auto work = [this, src, dst, bytes, throttle] {
-    std::memcpy(dst, src, bytes);
-    if (throttle > 0.0) {
-      const double seconds = static_cast<double>(bytes) / throttle;
-      std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    ++completed_;
-    bytes_ += bytes;
-  };
-  return run_async(std::move(work));
-}
-
-std::shared_future<void> TransferEngine::copy_async(const float* src,
-                                                    float* dst, std::size_t n) {
-  return copy_async(static_cast<const void*>(src), static_cast<void*>(dst),
-                    n * sizeof(float));
-}
-
-void TransferEngine::record_transfer(std::size_t bytes) {
+void TransferEngine::transfer(std::size_t bytes) {
+  if (bytes_per_second_ > 0.0) {
+    std::this_thread::sleep_for(std::chrono::duration<double>(
+        static_cast<double>(bytes) / bytes_per_second_));
+  }
   std::lock_guard<std::mutex> lock(mu_);
   ++completed_;
   bytes_ += bytes;

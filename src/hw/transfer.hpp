@@ -1,10 +1,10 @@
-// Asynchronous copy engine modelling a CUDA copy stream.
+// One link (a CUDA copy stream, an NVMe queue) as an asynchronous engine.
 //
-// Copies are executed FIFO on a dedicated worker thread so they genuinely
-// overlap with compute threads, like asynchronous cudaMemcpyAsync on a
-// dedicated stream over pinned memory. An optional bandwidth throttle slows
-// copies down to PCIe-like speeds for tests that need to provoke
-// prefetch-miss / overlap behaviour.
+// Jobs run FIFO on a dedicated worker thread so they genuinely overlap with
+// compute threads, like cudaMemcpyAsync on a dedicated stream. A job that
+// moves bytes calls transfer(), the link's one throttle and byte counter: an
+// optional bandwidth slows the link down to PCIe- or NVMe-like speeds for
+// runs that need to provoke prefetch-miss / overlap behaviour.
 #pragma once
 
 #include <condition_variable>
@@ -45,26 +45,15 @@ struct RetryPolicy {
 
 class TransferEngine {
  public:
-  /// `bytes_per_second` == 0 disables throttling (copies run at memcpy speed).
+  /// `bytes_per_second` == 0 disables throttling (transfer() only counts).
   explicit TransferEngine(std::string name, double bytes_per_second = 0.0);
   ~TransferEngine();
 
   TransferEngine(const TransferEngine&) = delete;
   TransferEngine& operator=(const TransferEngine&) = delete;
 
-  /// Enqueues an asynchronous copy of `bytes` bytes (the primary, byte-typed
-  /// entry point — transfers are priced in actual wire bytes, whatever the
-  /// element encoding). The returned future becomes ready when the copy has
-  /// completed. Source and destination must stay valid until then.
-  std::shared_future<void> copy_async(const void* src, void* dst,
-                                      std::size_t bytes);
-
-  /// Float-typed convenience wrapper: copies `n` floats (n * 4 bytes).
-  std::shared_future<void> copy_async(const float* src, float* dst,
-                                      std::size_t n);
-
-  /// Enqueues an arbitrary job on the copy stream (keeps FIFO order with
-  /// copies) — used for "free the buffer after the copy" style chaining.
+  /// Enqueues a job on the link. The returned future becomes ready when the
+  /// job has completed (or carries its exception).
   std::shared_future<void> run_async(std::function<void()> job);
 
   /// Enqueues `job` with a bounded-retry policy. The job receives the
@@ -79,12 +68,12 @@ class TransferEngine {
   /// Blocks until every enqueued operation has completed.
   void wait_all();
 
-  /// Accounts `bytes` of wire traffic performed by a run_async job body.
-  /// copy_async records its own bytes; jobs that move data themselves (the
-  /// engine's fault-in/evict paths) call this with the true transferred
-  /// byte count so bytes_transferred() stays dtype-honest. Safe to call
-  /// from inside a job (jobs run outside the stats lock).
-  void record_transfer(std::size_t bytes);
+  /// Prices `bytes` of wire traffic that a job has just moved: sleeps
+  /// `bytes / bytes_per_second` when the link is throttled, then counts one
+  /// transfer. Callers pass the true wire bytes, whatever the element
+  /// encoding, so bytes_transferred() stays dtype-honest. Safe to call from
+  /// inside a job (jobs run outside the stats lock).
+  void transfer(std::size_t bytes);
 
   std::size_t completed_transfers() const;
   std::size_t bytes_transferred() const;

@@ -1,6 +1,7 @@
 #include "nn/embedding.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "tensor/dropout.hpp"
@@ -23,6 +24,16 @@ void Embedding::bind(float* params, float* grads) {
   ParamBinder binder(params, grads);
   std::tie(token_table_, token_grad_) = binder.take({vocab_, hidden_});
   std::tie(pos_table_, pos_grad_) = binder.take({max_seq_, hidden_});
+}
+
+void Embedding::set_ids(std::vector<std::int32_t> ids) {
+  for (const std::int32_t id : ids) {
+    if (id < 0 || id >= vocab_) {
+      throw std::out_of_range("Embedding: token id " + std::to_string(id) +
+                              " outside [0, " + std::to_string(vocab_) + ")");
+    }
+  }
+  ids_ = std::move(ids);
 }
 
 void Embedding::init(tensor::Rng& rng) {

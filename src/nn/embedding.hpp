@@ -31,7 +31,9 @@ class Embedding final : public Layer {
   tensor::Tensor backward(const tensor::Tensor& grad_out,
                           const BatchShape& shape) override;
 
-  void set_ids(std::vector<std::int32_t> ids) { ids_ = std::move(ids); }
+  /// Stages the token ids of the next forward. Throws std::out_of_range for
+  /// an id outside [0, vocab): it would index past the token table.
+  void set_ids(std::vector<std::int32_t> ids);
 
   std::int64_t vocab() const noexcept { return vocab_; }
 

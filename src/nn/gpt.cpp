@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "tensor/ops.hpp"
 
@@ -69,6 +70,12 @@ float lm_loss(const tensor::Tensor& logits,
   const std::int64_t classes = logits.shape().dim(1);
   if (static_cast<std::int64_t>(targets.size()) != rows) {
     throw std::invalid_argument("lm_loss: target count mismatch");
+  }
+  for (const std::int32_t t : targets) {
+    if (t < 0 || t >= classes) {
+      throw std::out_of_range("lm_loss: target " + std::to_string(t) +
+                              " outside [0, " + std::to_string(classes) + ")");
+    }
   }
   if (!grad_logits.defined() || !(grad_logits.shape() == logits.shape())) {
     grad_logits = tensor::Tensor::zeros(logits.shape());

@@ -71,7 +71,8 @@ class GptModel {
 };
 
 /// Fused softmax cross-entropy over logits; returns mean loss and writes the
-/// logits gradient.
+/// logits gradient. Throws std::out_of_range for a target outside
+/// [0, classes).
 float lm_loss(const tensor::Tensor& logits,
               std::span<const std::int32_t> targets,
               tensor::Tensor& grad_logits);

@@ -9,6 +9,23 @@
 
 namespace sh::serve {
 
+namespace {
+
+/// Rejects a prompt up front when one of its ids lies outside [0, vocab):
+/// the embedding would throw mid-step and fail the whole batch.
+void check_ids(std::span<const std::int32_t> ids, std::int64_t vocab,
+               const char* where) {
+  for (const std::int32_t id : ids) {
+    if (id < 0 || id >= vocab) {
+      throw std::invalid_argument(std::string(where) + ": token id " +
+                                  std::to_string(id) + " outside [0, " +
+                                  std::to_string(vocab) + ")");
+    }
+  }
+}
+
+}  // namespace
+
 Scheduler::Scheduler(core::StrongholdEngine& engine, SchedulerConfig config)
     : engine_(engine),
       cfg_(config),
@@ -53,6 +70,8 @@ std::uint64_t Scheduler::submit(Request request) {
   if (request.max_new_tokens == 0) {
     throw std::invalid_argument("Scheduler::submit: max_new_tokens == 0");
   }
+  check_ids(request.prompt, engine_.model().config().vocab,
+            "Scheduler::submit");
   const auto total = static_cast<std::int64_t>(request.prompt.size() +
                                                request.max_new_tokens);
   if (total > engine_.model().config().max_seq) {
@@ -101,6 +120,8 @@ void Scheduler::register_prefix(std::span<const std::int32_t> prefix) {
   if (prefix.empty()) {
     throw std::invalid_argument("Scheduler::register_prefix: empty prefix");
   }
+  check_ids(prefix, engine_.model().config().vocab,
+            "Scheduler::register_prefix");
   const auto len = static_cast<std::int64_t>(prefix.size());
   if (len + 1 > engine_.model().config().max_seq) {
     throw std::invalid_argument(

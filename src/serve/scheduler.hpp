@@ -84,17 +84,18 @@ class Scheduler {
   Scheduler& operator=(const Scheduler&) = delete;
 
   /// Enqueues a request; returns its id (assigned when request.id == 0).
-  /// Rejects (throws std::invalid_argument) requests whose context exceeds
-  /// the model's max_seq or whose full KV footprint exceeds the arena
-  /// budget (minus the pinned prefix slab) — such a request could never
-  /// run. Requests whose prompt starts with a registered prefix are marked
+  /// Rejects (throws std::invalid_argument) requests whose prompt holds a
+  /// token id outside [0, vocab), whose context exceeds the model's max_seq
+  /// or whose full KV footprint exceeds the arena budget (minus the pinned
+  /// prefix slab) — such a request could never run. Requests whose prompt starts with a registered prefix are marked
   /// as sharers and admitted as zero-copy aliases of the prefix slab.
   std::uint64_t submit(Request request);
 
   /// Registers a shared system prompt: pins a refcounted slab in the arena
   /// and prefills it ONCE through the engine. Must be called before any
-  /// submit; throws std::invalid_argument when the prefix is empty, leaves
-  /// no room for generation under max_seq, or does not fit the KV budget.
+  /// submit; throws std::invalid_argument when the prefix is empty, holds a
+  /// token id outside [0, vocab), leaves no room for generation under
+  /// max_seq, or does not fit the KV budget.
   void register_prefix(std::span<const std::int32_t> prefix);
   bool has_prefix() const noexcept { return prefix_id_ != 0; }
 

@@ -13,9 +13,10 @@
 #include <string>
 #include <vector>
 
-#include "sim/event_engine.hpp"
-
 namespace sh::sim {
+
+/// Virtual time in seconds.
+using Time = double;
 
 struct Interval {
   Time start = 0.0;

@@ -18,9 +18,8 @@ SwapFile::SwapFile(std::string path, std::size_t capacity_bytes,
                    double bytes_per_second, FaultConfig faults)
     : path_(std::move(path)),
       capacity_(capacity_bytes),
-      bytes_per_second_(bytes_per_second),
       plan_(faults),
-      io_("swap-io") {
+      io_("swap-io", bytes_per_second) {
   fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
   if (fd_ < 0) {
     throw std::runtime_error("SwapFile: cannot open " + path_);
@@ -107,13 +106,6 @@ SwapFile::Region SwapFile::region_for(std::int64_t key, std::size_t bytes,
   next_offset_ += bytes;
   regions_[key] = r;
   return r;
-}
-
-void SwapFile::throttle(std::size_t bytes) const {
-  if (bytes_per_second_ > 0.0) {
-    std::this_thread::sleep_for(std::chrono::duration<double>(
-        static_cast<double>(bytes) / bytes_per_second_));
-  }
 }
 
 void SwapFile::note_failure(const std::exception_ptr& err) {
@@ -224,7 +216,7 @@ void SwapFile::attempt_io(IoOp op, std::int64_t key, const Region& r,
     std::this_thread::sleep_for(
         std::chrono::duration<double>(d.extra_latency_s));
   }
-  throttle(limit);
+  io_.transfer(limit);
   if (limit < r.bytes) {
     obs::instant("swap", is_read ? "fault:short-read" : "fault:short-write");
     throw TransientIoError(

@@ -121,7 +121,6 @@ class SwapFile {
 
   Region region_for(std::int64_t key, std::size_t bytes, bool create,
                     IoOp op);
-  void throttle(std::size_t bytes) const;
   hw::RetryPolicy retry_policy(IoOp op, std::int64_t key);
   /// One faulted/healthy attempt of a full-region transfer. Applies the
   /// FaultDecision: EIO throws before any I/O, a short op transfers a
@@ -133,7 +132,6 @@ class SwapFile {
 
   std::string path_;
   std::size_t capacity_;
-  double bytes_per_second_;
   int fd_ = -1;
   bool unlink_on_close_ = true;
   mutable std::mutex mu_;
@@ -147,7 +145,7 @@ class SwapFile {
   std::atomic<std::uint64_t> backoff_nanos_{0};
   std::exception_ptr pending_error_;  // guarded by mu_
   std::uint64_t obs_provider_id_ = 0;
-  hw::TransferEngine io_;  // FIFO async I/O worker
+  hw::TransferEngine io_;  // FIFO async I/O worker; owns the throttle
 };
 
 }  // namespace sh::storage

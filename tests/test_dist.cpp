@@ -73,6 +73,31 @@ TEST(Barrier, AbortReleasesCurrentAndLaterWaiters) {
   EXPECT_THROW(b.arrive_and_wait(), Aborted);
 }
 
+TEST(ProcessGroup, AbortReleasesRanksInsideACollective) {
+  // Rank 2 fails before its all-reduce and aborts the group; the ranks
+  // already inside (or still entering) the collective leave with Aborted,
+  // and so does every later collective.
+  ProcessGroup pg(3);
+  std::atomic<int> aborted{0};
+  run_ranks(3, [&](int rank) {
+    std::vector<float> v(64, 1.0f);
+    if (rank == 2) {
+      pg.abort();
+      return;
+    }
+    try {
+      pg.all_reduce_sum(rank, v);
+    } catch (const Aborted&) {
+      aborted.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(aborted.load(), 2);
+  std::vector<float> v(4, 1.0f);
+  EXPECT_THROW(pg.all_reduce_sum(0, v), Aborted);
+  EXPECT_THROW(pg.barrier(1), Aborted);
+  EXPECT_EQ(pg.floats_communicated(), 0u);
+}
+
 TEST(ProcessGroup, AllReduceSumsAcrossRanks) {
   const int world = 4;
   ProcessGroup pg(world);
@@ -343,6 +368,16 @@ TEST(ProcessGroup, WorldOfOneIsIdentity) {
   pg.all_reduce_sum(0, v);
   EXPECT_FLOAT_EQ(v[0], 3.0f);
   EXPECT_EQ(pg.floats_communicated(), 0u);
+}
+
+TEST(HeteroComm, AbortFailsBothChannels) {
+  // A rank may die while its peers sit on either channel.
+  HeteroComm comm(2);
+  comm.abort();
+  std::vector<float> v = {1.0f};
+  EXPECT_THROW(comm.all_reduce_sum(Channel::Gpu, 0, v), Aborted);
+  EXPECT_THROW(comm.all_reduce_sum(Channel::Cpu, 1, v), Aborted);
+  EXPECT_FLOAT_EQ(v[0], 1.0f);
 }
 
 TEST(HeteroComm, ChannelsAreIndependent) {

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -15,6 +16,7 @@
 #include "data/synthetic.hpp"
 #include "dist/dp_trainer.hpp"
 #include "testing/util.hpp"
+#include "testing/watchdog.hpp"
 
 namespace sh::dist {
 namespace {
@@ -355,6 +357,116 @@ TEST(DataParallelElastic, SwapBackedRankRejoinsBitIdentically) {
     sh::testing::expect_allclose(pr, ref_params, 0.0f, 0.0f);
   }
 }
+
+TEST(DataParallelElastic, NvmeTierRankJoinsBitIdentically) {
+  // Masters and Adam moments on the swap tier. Every replica owns its swap
+  // file, so a joiner's file cannot truncate the moments its peers still
+  // page, and a leaver's cannot unlink theirs. A rank joins and the joiner
+  // leaves again; the world must match an uninterrupted run bit for bit.
+  const auto mcfg = tiny_config();
+  const auto batches = make_batches(mcfg, 4);
+  core::EngineConfig ecfg;
+  ecfg.window = 2;
+  ecfg.optimizer_tier = core::OptimizerTier::nvme;
+  ecfg.cpu_capacity_bytes = 64 * 1024;
+
+  ecfg.swap_path = ::testing::TempDir() + "dp_nvme_join_ref.bin";
+  DataParallelTrainer ref(mcfg, ecfg, 2);
+  ref.init_params(42);
+  std::vector<float> ref_losses;
+  for (const auto& b : batches) ref_losses.push_back(ref.train_step(b));
+  std::vector<float> ref_params;
+  ref.snapshot_params(0, ref_params);
+
+  const std::string path = ::testing::TempDir() + "dp_nvme_join.bin";
+  ecfg.swap_path = path;
+  DataParallelTrainer trainer(mcfg, ecfg, 2);
+  ASSERT_GT(trainer.stats(0).swap_backed_layers, 0u);
+  trainer.init_params(42);
+  std::vector<float> losses;
+  losses.push_back(trainer.train_step(batches[0]));
+  losses.push_back(trainer.train_step(batches[1]));
+  EXPECT_EQ(trainer.add_rank(), 2);
+  trainer.remove_rank(2);
+  EXPECT_TRUE(std::filesystem::exists(path + ".rank0"));
+  EXPECT_TRUE(std::filesystem::exists(path + ".rank1"));
+  EXPECT_FALSE(std::filesystem::exists(path + ".rank2"));
+  losses.push_back(trainer.train_step(batches[2]));
+  losses.push_back(trainer.train_step(batches[3]));
+
+  EXPECT_EQ(losses, ref_losses);
+  for (int r = 0; r < trainer.world(); ++r) {
+    std::vector<float> pr;
+    trainer.snapshot_params(r, pr);
+    EXPECT_TRUE(sh::testing::bits_equal(pr, ref_params)) << "rank " << r;
+  }
+}
+
+// --- a failing rank ---------------------------------------------------------
+
+/// (world, executors per rank).
+class DataParallelFault
+    : public ::testing::TestWithParam<std::tuple<int, std::size_t>> {};
+
+TEST_P(DataParallelFault, RankFailureRaisesWithoutHanging) {
+  // The last rank's shard holds an out-of-range token id, so that rank fails
+  // in its embedding while its peers run on into the gradient all-reduce.
+  // train_step must raise the rank's own std::out_of_range, not the Aborted
+  // it causes in its peers, and must not hang. The failure comes before any
+  // update, so the trainer then trains on bit-identically to an
+  // uninterrupted run. The failure mode is a hang, so the body runs in a
+  // child process under a deadline.
+  if (!sh::testing::in_watchdog_child()) {
+    sh::testing::run_in_child_within(120.0);
+    return;
+  }
+  const auto [world, executors] = GetParam();
+  const auto mcfg = tiny_config();
+  const auto batches = make_batches(mcfg, 3);
+  core::EngineConfig ecfg;
+  ecfg.window = 2;
+  ecfg.num_executors = executors;
+
+  DataParallelTrainer ref(mcfg, ecfg, world);
+  ref.init_params(42);
+  std::vector<float> ref_losses;
+  for (const auto& b : batches) ref_losses.push_back(ref.train_step(b));
+  std::vector<float> ref_params;
+  ref.snapshot_params(0, ref_params);
+
+  DataParallelTrainer trainer(mcfg, ecfg, world);
+  trainer.init_params(42);
+  std::vector<float> losses = {trainer.train_step(batches[0])};
+  std::vector<float> before;
+  trainer.snapshot_params(0, before);
+  data::Batch bad = batches[1];
+  bad.ids.back() = static_cast<std::int32_t>(mcfg.vocab);
+  EXPECT_THROW(trainer.train_step(bad), std::out_of_range);
+  EXPECT_EQ(trainer.current_step(), 1u);
+  for (int r = 0; r < world; ++r) {
+    std::vector<float> pr;
+    trainer.snapshot_params(r, pr);
+    EXPECT_TRUE(sh::testing::bits_equal(pr, before)) << "rank " << r;
+  }
+
+  losses.push_back(trainer.train_step(batches[1]));
+  losses.push_back(trainer.train_step(batches[2]));
+  EXPECT_EQ(losses, ref_losses);
+  for (int r = 0; r < world; ++r) {
+    std::vector<float> pr;
+    trainer.snapshot_params(r, pr);
+    EXPECT_TRUE(sh::testing::bits_equal(pr, ref_params)) << "rank " << r;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WorldsAndExecutors, DataParallelFault,
+    ::testing::Combine(::testing::Values(2, 4),
+                       ::testing::Values(std::size_t{1}, std::size_t{2})),
+    [](const ::testing::TestParamInfo<std::tuple<int, std::size_t>>& info) {
+      return "w" + std::to_string(std::get<0>(info.param)) + "_e" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 TEST(DataParallelElastic, WorldShrinksAndRegrowsAcrossSteps) {
   // Train at world 8, shrink to 4 (batch re-shards over fewer ranks), grow

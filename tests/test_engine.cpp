@@ -3,18 +3,10 @@
 // training exactly.
 #include <gtest/gtest.h>
 
-#include <signal.h>
-#include <spawn.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -22,8 +14,7 @@
 #include "data/synthetic.hpp"
 #include "storage/fault_plan.hpp"
 #include "testing/util.hpp"
-
-extern char** environ;
+#include "testing/watchdog.hpp"
 
 namespace sh::core {
 namespace {
@@ -270,44 +261,6 @@ INSTANTIATE_TEST_SUITE_P(
       return std::to_string(info.param);
     });
 
-/// True in the child process run_in_child_within() starts.
-bool in_watchdog_child() {
-  return std::getenv("STRONGHOLD_TEST_WATCHDOG_CHILD") != nullptr;
-}
-
-/// Runs the current test again, alone, in a child process of this binary
-/// and fails it if the child does not exit successfully within `seconds`.
-/// For tests whose failure mode is a hang: the child is killed instead.
-void run_in_child_within(double seconds) {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  const std::string filter = std::string("--gtest_filter=") +
-                             info->test_suite_name() + "." + info->name();
-  char exe[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-  ASSERT_GT(n, 0);
-  exe[n] = '\0';
-  const char* argv[] = {exe, filter.c_str(), nullptr};
-  ::setenv("STRONGHOLD_TEST_WATCHDOG_CHILD", "1", 1);
-  pid_t pid = -1;
-  const int rc = ::posix_spawn(&pid, exe, nullptr, nullptr,
-                               const_cast<char* const*>(argv), environ);
-  ::unsetenv("STRONGHOLD_TEST_WATCHDOG_CHILD");
-  ASSERT_EQ(rc, 0) << "posix_spawn failed";
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(seconds);
-  int status = 0;
-  while (::waitpid(pid, &status, WNOHANG) == 0) {
-    if (std::chrono::steady_clock::now() > deadline) {
-      ::kill(pid, SIGKILL);
-      ::waitpid(pid, &status, 0);
-      FAIL() << "hung: the child did not finish within " << seconds << " s";
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
-      << "the child failed; its output is above";
-}
-
 std::vector<std::int64_t> layer_steps(StrongholdEngine& engine) {
   const ckpt::Snapshot snap = engine.capture_snapshot();
   const auto& blob = snap.blobs.entries.at("engine.layer_steps");
@@ -323,8 +276,8 @@ TEST(EngineClipFault, MidStepTierFaultAppliesNoUpdateAndTearsDown) {
   // after training on, and capture and teardown return instead of waiting
   // on updates that can never run. The failure mode this guards against is
   // a hang, so the test body runs in a child process under a deadline.
-  if (!in_watchdog_child()) {
-    run_in_child_within(120.0);
+  if (!sh::testing::in_watchdog_child()) {
+    sh::testing::run_in_child_within(120.0);
     return;
   }
   nn::GptConfig mcfg = tiny_config();
@@ -546,6 +499,63 @@ TEST(Engine, TrainingAfterInferenceStaysCorrect) {
   engine.snapshot_params(params);
   EXPECT_EQ(losses, ref_losses);
   sh::testing::expect_allclose(params, ref_params, 0.0f, 0.0f);
+}
+
+TEST(Engine, OutOfRangeIdsAndTargetsThrowBeforeAnyUpdate) {
+  // A token id or target outside [0, vocab) would index past the embedding
+  // table or a logits row. train_step raises std::out_of_range before any
+  // update: the step does not count, the parameters are untouched, and
+  // training then continues exactly as if the bad batch had never come.
+  const auto mcfg = tiny_config();
+  const auto batches = make_batches(2, mcfg.max_seq, 2);
+  EngineConfig ecfg;
+  ecfg.window = 1;
+  const auto [ref_params, ref_losses] = run_engine(mcfg, ecfg, batches);
+
+  nn::GptModel model(mcfg);
+  StrongholdEngine engine(model, ecfg);
+  engine.init_params(42);
+  std::vector<float> losses = {engine.train_step(batches[0])};
+  std::vector<float> before;
+  engine.snapshot_params(before);
+  const auto vocab = static_cast<std::int32_t>(mcfg.vocab);
+  struct Case {
+    const char* what;
+    bool target;
+    std::int32_t value;
+  };
+  for (const Case c : {Case{"id == vocab", false, vocab},
+                       Case{"target == vocab", true, vocab},
+                       Case{"id == -1", false, -1}}) {
+    data::Batch bad = batches[1];
+    (c.target ? bad.targets : bad.ids)[5] = c.value;
+    EXPECT_THROW(engine.train_step(bad), std::out_of_range) << c.what;
+    EXPECT_EQ(engine.stats().iterations, 1u) << c.what;
+    std::vector<float> after;
+    engine.snapshot_params(after);
+    EXPECT_TRUE(sh::testing::bits_equal(after, before)) << c.what;
+  }
+  losses.push_back(engine.train_step(batches[1]));
+  std::vector<float> params;
+  engine.snapshot_params(params);
+  EXPECT_EQ(losses, ref_losses);
+  EXPECT_TRUE(sh::testing::bits_equal(params, ref_params));
+}
+
+TEST(Engine, InferenceAndDecodingRejectOutOfRangeIds) {
+  const auto mcfg = tiny_config();
+  nn::GptModel model(mcfg);
+  EngineConfig ecfg;
+  ecfg.window = 1;
+  StrongholdEngine engine(model, ecfg);
+  engine.init_params(42);
+  const std::vector<std::int32_t> good = {1, 2, 3, 4};
+  const auto want = engine.generate_incremental(good, 3);
+  const auto vocab = static_cast<std::int32_t>(mcfg.vocab);
+  const std::vector<std::int32_t> bad = {1, vocab, 3, 4};
+  EXPECT_THROW(engine.inference(bad, {1, 4}), std::out_of_range);
+  EXPECT_THROW(engine.generate_incremental(bad, 3), std::out_of_range);
+  EXPECT_EQ(engine.generate_incremental(good, 3), want);  // still usable
 }
 
 TEST(Engine, RejectsInvalidConfigs) {

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <future>
 #include <vector>
 
 #include "hw/transfer.hpp"
@@ -81,11 +83,21 @@ TEST(MemoryPool, ByteAllocationsAreThePrimary) {
   EXPECT_EQ(pool.used(), 0u);
 }
 
+/// A copy job as the engine's h2d/d2h jobs run it: move the bytes, then
+/// price them on the link (throttle and count).
+std::shared_future<void> copy_on(TransferEngine& eng, const void* src,
+                                 void* dst, std::size_t bytes) {
+  return eng.run_async([&eng, src, dst, bytes] {
+    std::memcpy(dst, src, bytes);
+    eng.transfer(bytes);
+  });
+}
+
 TEST(TransferEngine, CopiesData) {
   TransferEngine eng("h2d");
   std::vector<float> src = {1, 2, 3, 4};
   std::vector<float> dst(4, 0.0f);
-  eng.copy_async(src.data(), dst.data(), 4).get();
+  copy_on(eng, src.data(), dst.data(), 4 * sizeof(float)).get();
   EXPECT_EQ(dst, src);
   EXPECT_EQ(eng.completed_transfers(), 1u);
   EXPECT_EQ(eng.bytes_transferred(), 16u);
@@ -96,11 +108,11 @@ TEST(TransferEngine, CopiesAreFifoOrdered) {
   std::vector<float> buf(1, 0.0f);
   std::vector<float> one = {1.0f}, two = {2.0f}, three = {3.0f};
   std::vector<float> observed;
-  eng.copy_async(one.data(), buf.data(), 1);
+  copy_on(eng, one.data(), buf.data(), sizeof(float));
   eng.run_async([&] { observed.push_back(buf[0]); });
-  eng.copy_async(two.data(), buf.data(), 1);
+  copy_on(eng, two.data(), buf.data(), sizeof(float));
   eng.run_async([&] { observed.push_back(buf[0]); });
-  eng.copy_async(three.data(), buf.data(), 1);
+  copy_on(eng, three.data(), buf.data(), sizeof(float));
   eng.run_async([&] { observed.push_back(buf[0]); });
   eng.wait_all();
   EXPECT_EQ(observed, (std::vector<float>{1.0f, 2.0f, 3.0f}));
@@ -112,7 +124,7 @@ TEST(TransferEngine, RunsConcurrentlyWithCaller) {
   std::vector<float> src(25000, 1.0f);  // 100 KB -> 0.1 s
   std::vector<float> dst(25000, 0.0f);
   const auto t0 = std::chrono::steady_clock::now();
-  auto fut = eng.copy_async(src.data(), dst.data(), src.size());
+  auto fut = copy_on(eng, src.data(), dst.data(), src.size() * sizeof(float));
   const auto submit_elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -128,7 +140,9 @@ TEST(TransferEngine, RunsConcurrentlyWithCaller) {
 TEST(TransferEngine, WaitAllDrainsQueue) {
   TransferEngine eng("d2h");
   std::vector<float> src(64, 2.0f), dst(64, 0.0f);
-  for (int i = 0; i < 10; ++i) eng.copy_async(src.data(), dst.data(), 64);
+  for (int i = 0; i < 10; ++i) {
+    copy_on(eng, src.data(), dst.data(), src.size() * sizeof(float));
+  }
   eng.wait_all();
   EXPECT_EQ(eng.completed_transfers(), 10u);
 }
@@ -138,18 +152,18 @@ TEST(TransferEngine, ByteCopyReportsTrueBytes) {
   // A bf16-style wire copy: 6 elements at 2 bytes each.
   std::vector<std::uint16_t> src = {1, 2, 3, 4, 5, 6};
   std::vector<std::uint16_t> dst(6, 0);
-  eng.copy_async(src.data(), dst.data(), src.size() * sizeof(std::uint16_t))
+  copy_on(eng, src.data(), dst.data(), src.size() * sizeof(std::uint16_t))
       .get();
   EXPECT_EQ(dst, src);
   EXPECT_EQ(eng.completed_transfers(), 1u);
   EXPECT_EQ(eng.bytes_transferred(), 12u);  // not 4 bytes/element
 }
 
-TEST(TransferEngine, RecordTransferAccountsJobBytes) {
+TEST(TransferEngine, TransferAccountsJobBytes) {
   TransferEngine eng("h2d");
   // Jobs that move data themselves report their wire bytes explicitly.
-  eng.run_async([&] { eng.record_transfer(512); }).get();
-  eng.record_transfer(256);  // also callable from outside a job
+  eng.run_async([&] { eng.transfer(512); }).get();
+  eng.transfer(256);  // also callable from outside a job
   EXPECT_EQ(eng.completed_transfers(), 2u);
   EXPECT_EQ(eng.bytes_transferred(), 768u);
 }
@@ -160,7 +174,7 @@ TEST(TransferEngine, PropagatesJobExceptions) {
   EXPECT_THROW(fut.get(), std::runtime_error);
   // Engine still works after an exception.
   std::vector<float> src = {5.0f}, dst = {0.0f};
-  eng.copy_async(src.data(), dst.data(), 1).get();
+  copy_on(eng, src.data(), dst.data(), sizeof(float)).get();
   EXPECT_EQ(dst[0], 5.0f);
 }
 

@@ -1,11 +1,14 @@
 // Gradient checks and behavioural tests for every nn layer.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "nn/attention.hpp"
 #include "nn/block.hpp"
 #include "nn/embedding.hpp"
+#include "nn/gpt.hpp"
 #include "nn/head.hpp"
 #include "nn/layernorm.hpp"
 #include "nn/linear.hpp"
@@ -205,6 +208,26 @@ TEST(Embedding, ThrowsWithoutStagedIds) {
   OwnedStorage storage(layer.param_count());
   layer.bind(storage.params(), storage.grads());
   EXPECT_THROW(layer.forward({}, {2, 3}), std::logic_error);
+}
+
+TEST(Embedding, SetIdsRejectsOutOfRangeIds) {
+  // An id outside [0, vocab) would read past the token table in forward and
+  // write past its gradient in backward.
+  Embedding layer("emb", 10, 4, 6);
+  EXPECT_THROW(layer.set_ids({1, 10}), std::out_of_range);
+  EXPECT_THROW(layer.set_ids({-1, 2}), std::out_of_range);
+  EXPECT_NO_THROW(layer.set_ids({0, 9}));
+}
+
+TEST(LmLoss, RejectsOutOfRangeTargets) {
+  auto logits = Tensor::zeros({2, 5});
+  Tensor grad;
+  const std::vector<std::int32_t> over = {1, 5};
+  const std::vector<std::int32_t> under = {-1, 0};
+  EXPECT_THROW(sh::nn::lm_loss(logits, over, grad), std::out_of_range);
+  EXPECT_THROW(sh::nn::lm_loss(logits, under, grad), std::out_of_range);
+  const std::vector<std::int32_t> ok = {0, 4};
+  EXPECT_FLOAT_EQ(sh::nn::lm_loss(logits, ok, grad), std::log(5.0f));
 }
 
 TEST(LmHead, GradCheck) {

@@ -151,6 +151,38 @@ TEST(Serve, SubmitRejectsInfeasibleRequests) {
   EXPECT_THROW(sched.submit(dup), std::invalid_argument);
 }
 
+TEST(Serve, SubmitAndPrefixRejectOutOfRangeTokenIds) {
+  // A prompt id outside [0, vocab) is rejected before it is queued, so it
+  // cannot fail the batch step that would embed it; the scheduler stays
+  // usable and a valid request still runs.
+  const auto mcfg = serve_model_config();
+  nn::GptModel model(mcfg);
+  core::EngineConfig ecfg;
+  ecfg.window = 1;
+  core::StrongholdEngine engine(model, ecfg);
+  engine.init_params(1);
+  Scheduler sched(engine, {});
+
+  const auto vocab = static_cast<std::int32_t>(mcfg.vocab);
+  const std::vector<std::int32_t> bad_prefix = {1, vocab, 2};
+  EXPECT_THROW(sched.register_prefix(bad_prefix), std::invalid_argument);
+  EXPECT_FALSE(sched.has_prefix());
+  EXPECT_EQ(sched.arena_stats().prefix_bytes, 0u);
+
+  Request r;
+  r.max_new_tokens = 3;
+  for (const std::int32_t id : {vocab, -1}) {
+    r.prompt = {4, id};
+    EXPECT_THROW(sched.submit(r), std::invalid_argument) << "id " << id;
+  }
+  EXPECT_EQ(sched.stats().submitted, 0u);
+
+  r.prompt = {4, vocab - 1};
+  const std::uint64_t ok = sched.submit(r);
+  sched.run_to_completion();
+  EXPECT_EQ(sched.result(ok), engine.generate_incremental(r.prompt, 3));
+}
+
 TEST(Serve, SchedulerRecordsThroughputAndLatency) {
   const auto mcfg = serve_model_config();
   nn::GptModel model(mcfg);

@@ -3,62 +3,12 @@
 #include <sstream>
 #include <vector>
 
-#include "sim/event_engine.hpp"
 #include "sim/hardware.hpp"
 #include "sim/resource.hpp"
 #include "sim/trace.hpp"
 
 namespace sh::sim {
 namespace {
-
-TEST(EventEngine, ExecutesInTimeOrder) {
-  EventEngine e;
-  std::vector<int> order;
-  e.schedule_at(3.0, [&] { order.push_back(3); });
-  e.schedule_at(1.0, [&] { order.push_back(1); });
-  e.schedule_at(2.0, [&] { order.push_back(2); });
-  e.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(e.executed(), 3u);
-}
-
-TEST(EventEngine, SameTimeEventsAreFifo) {
-  EventEngine e;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    e.schedule_at(1.0, [&order, i] { order.push_back(i); });
-  }
-  e.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventEngine, CallbacksCanScheduleMoreEvents) {
-  EventEngine e;
-  int fired = 0;
-  e.schedule_at(1.0, [&] {
-    ++fired;
-    e.schedule_after(0.5, [&] { ++fired; });
-  });
-  e.run();
-  EXPECT_EQ(fired, 2);
-  EXPECT_DOUBLE_EQ(e.now(), 1.5);
-}
-
-TEST(EventEngine, AdvancesVirtualClock) {
-  EventEngine e;
-  e.schedule_at(7.25, [] {});
-  EXPECT_DOUBLE_EQ(e.now(), 0.0);
-  e.run();
-  EXPECT_DOUBLE_EQ(e.now(), 7.25);
-}
-
-TEST(EventEngine, RejectsSchedulingInThePast) {
-  EventEngine e;
-  e.schedule_at(2.0, [&] {
-    EXPECT_THROW(e.schedule_at(1.0, [] {}), std::invalid_argument);
-  });
-  e.run();
-}
 
 TEST(Timeline, SerializesWork) {
   Timeline t("stream");
