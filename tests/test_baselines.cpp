@@ -3,6 +3,10 @@
 // 7a, 8a) and the cluster results (Figs. 6b, 12).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "baselines/cluster.hpp"
 #include "baselines/l2l.hpp"
 #include "baselines/megatron.hpp"
@@ -297,6 +301,164 @@ TEST(Trace, StrongholdOverlapsTransfersWithCompute) {
   (void)sh.iteration(w, m, &trace);
   EXPECT_GT(trace.overlap_fraction("d2h", "gpu"), 0.7);
   EXPECT_GT(trace.utilization("gpu"), 0.8);
+}
+
+// --- The forward sweep of the STRONGHOLD schedule ----------------------
+//
+// Layer i computes after layer i-1 and after its own fetch; layers 0..m-1
+// start resident, and the fetch of layer i >= m is issued when layer i-m
+// starts computing, onto a FIFO h2d link. With per-layer compute t_c and
+// per-layer fetch t_f this max-plus recurrence has the closed form
+//   end = max(n*t_c, t_c + (n-m)*t_f) for n > m, and n*t_c otherwise:
+// the longest path either computes every layer or rides the link from the
+// first fetch to the last one. The Timeline schedule must match it.
+
+struct ForwardSweep {
+  std::vector<sim::Interval> compute;  // "gpu"/"f", one per layer in order
+  std::vector<sim::Interval> fetches;  // "h2d"/"p" issued during FP
+  double t_c = 0.0;
+  double t_f = 0.0;
+
+  double end() const { return compute.empty() ? 0.0 : compute.back().end; }
+  double gpu_idle() const {
+    double idle = 0.0;
+    double free_at = 0.0;
+    for (const auto& iv : compute) {
+      idle += iv.start - free_at;
+      free_at = iv.end;
+    }
+    return idle;
+  }
+};
+
+/// The FP spans of a STRONGHOLD trace: everything recorded before the head.
+ForwardSweep forward_sweep_of(const sim::Trace& trace) {
+  ForwardSweep s;
+  for (const auto& span : trace.spans()) {
+    if (span.resource == "gpu" && span.label == "h") break;
+    if (span.resource == "gpu" && span.label == "f") {
+      s.compute.push_back(span.interval);
+    } else if (span.resource == "h2d" && span.label == "p") {
+      s.fetches.push_back(span.interval);
+    }
+  }
+  if (!s.compute.empty()) s.t_c = s.compute.front().duration();
+  if (!s.fetches.empty()) s.t_f = s.fetches.front().duration();
+  return s;
+}
+
+Workload sweep_workload(std::int64_t layers) {
+  Workload w;
+  w.model = sim::table1_model(layers, 2560);
+  w.batch = 4.0;
+  return w;
+}
+
+/// A V100 server whose PCIe link is rescaled so that one layer's fetch
+/// takes `fetch_ratio` forward computes, `latency_share` of it fixed cost.
+sim::MachineSpec machine_with_fetch_ratio(double fetch_ratio,
+                                          double latency_share = 0.0) {
+  // Calibrate on a two-layer, window-1 sweep over a latency-free link: the
+  // per-layer compute and fetch bytes do not depend on the layer count.
+  auto m = sim::v100_server();
+  m.pcie_latency_s = 0.0;
+  sim::Trace trace;
+  (void)StrongholdStrategy({.fixed_window = 1})
+      .iteration(sweep_workload(2), m, &trace);
+  const auto cal = forward_sweep_of(trace);
+  const double t_f = fetch_ratio * cal.t_c;
+  m.pcie_latency_s = latency_share * t_f;
+  m.pcie_bytes_per_s *= cal.t_f / ((1.0 - latency_share) * t_f);
+  return m;
+}
+
+ForwardSweep run_sweep(std::int64_t layers, std::size_t window,
+                       const sim::MachineSpec& machine,
+                       double* iteration_seconds = nullptr) {
+  sim::Trace trace;
+  const auto r = StrongholdStrategy({.fixed_window = window})
+                     .iteration(sweep_workload(layers), machine, &trace);
+  if (iteration_seconds != nullptr) *iteration_seconds = r.seconds;
+  return forward_sweep_of(trace);
+}
+
+struct SweepCase {
+  std::int64_t layers;
+  std::size_t window;
+  double fetch_ratio;    // t_f / t_c
+  double latency_share;  // fixed share of t_f
+};
+
+class ForwardSweepRegime : public ::testing::TestWithParam<SweepCase> {};
+
+TEST_P(ForwardSweepRegime, TimelineScheduleMatchesMaxPlusClosedForm) {
+  const auto& c = GetParam();
+  const auto s = run_sweep(
+      c.layers, c.window,
+      machine_with_fetch_ratio(c.fetch_ratio, c.latency_share));
+  const auto n = static_cast<std::size_t>(c.layers);
+  const std::size_t m = std::min(c.window, n);
+  ASSERT_EQ(s.compute.size(), n);
+  ASSERT_EQ(s.fetches.size(), n - m);
+  if (!s.fetches.empty()) {
+    EXPECT_NEAR(s.t_f / s.t_c, c.fetch_ratio, 1e-9 * c.fetch_ratio);
+  }
+  for (std::size_t j = 0; j < s.fetches.size(); ++j) {
+    // Issued by layer j's pre-forward hook, consumed by layer j+m.
+    EXPECT_GE(s.fetches[j].start, s.compute[j].start) << "fetch " << j;
+    EXPECT_GE(s.compute[j + m].start, s.fetches[j].end) << "fetch " << j;
+  }
+  const double dn = static_cast<double>(n);
+  const double expected =
+      n > m ? std::max(dn * s.t_c,
+                       s.t_c + static_cast<double>(n - m) * s.t_f)
+            : dn * s.t_c;
+  EXPECT_NEAR(s.end(), expected, 1e-9 * expected);
+  EXPECT_NEAR(s.gpu_idle(), expected - dn * s.t_c, 1e-9 * expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Regimes, ForwardSweepRegime,
+    ::testing::Values(
+        SweepCase{20, 2, 0.2, 0.0},   // compute-bound: no stalls
+        SweepCase{20, 1, 5.0, 0.0},   // transfer-bound: stalls
+        SweepCase{20, 4, 1.0, 0.02},  // balanced with latency
+        SweepCase{8, 8, 3.0, 0.0},    // fully resident: no fetches
+        SweepCase{50, 3, 3.5, 0.0},   // bandwidth saturation
+        SweepCase{1, 1, 1.0, 0.0}));  // single layer
+
+TEST(ForwardSweep, ComputeBoundHasZeroIdle) {
+  const auto s = run_sweep(30, 2, machine_with_fetch_ratio(0.3));
+  ASSERT_EQ(s.compute.size(), 30u);
+  EXPECT_EQ(s.fetches.size(), 28u);
+  EXPECT_DOUBLE_EQ(s.gpu_idle(), 0.0);
+  EXPECT_NEAR(s.end(), 30.0 * s.t_c, 1e-9 * s.end());
+}
+
+TEST(ForwardSweep, TransferBoundMakespanIsLinkLimited) {
+  // One-layer window, fetch twice as slow as compute: the link paces the
+  // sweep after the resident prefix. Layer 0 computes during [0, t_c); fetch
+  // i completes at i*t_f, back to back on the link; layer 9 computes last.
+  const auto s = run_sweep(10, 1, machine_with_fetch_ratio(2.0));
+  ASSERT_EQ(s.fetches.size(), 9u);
+  EXPECT_GT(s.gpu_idle(), 0.0);
+  for (std::size_t j = 1; j < s.fetches.size(); ++j) {
+    EXPECT_DOUBLE_EQ(s.fetches[j].start, s.fetches[j - 1].end) << j;
+  }
+  EXPECT_NEAR(s.end(), 9.0 * s.t_f + s.t_c, 1e-9 * s.end());
+  EXPECT_NEAR(s.end() / s.t_c, 19.0, 1e-9);
+}
+
+TEST(ForwardSweep, LargerWindowNeverHurts) {
+  const auto machine = machine_with_fetch_ratio(2.5);
+  for (std::size_t m = 1; m <= 8; ++m) {
+    double seconds_m = 0.0;
+    double seconds_next = 0.0;
+    const auto a = run_sweep(24, m, machine, &seconds_m);
+    const auto b = run_sweep(24, m + 1, machine, &seconds_next);
+    EXPECT_LE(b.end(), a.end() * (1.0 + 1e-12)) << "window " << m;
+    EXPECT_LE(seconds_next, seconds_m * (1.0 + 1e-12)) << "window " << m;
+  }
 }
 
 TEST(Lineup, ContainsPaperBaselinesInOrder) {
