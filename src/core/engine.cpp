@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
 #include <unordered_map>
 
 #include "nn/block.hpp"
@@ -19,13 +18,9 @@
 
 namespace sh::core {
 
-namespace {
+using obs::wall_seconds;
 
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+namespace {
 
 /// The first micro-step of an accumulation cycle overwrites a layer's CPU
 /// gradient accumulator; later ones add to it.
@@ -291,7 +286,7 @@ void StrongholdEngine::prefetch(std::size_t index) {
       }
     }
     if (slot == nullptr) {
-      const double t = now_seconds();
+      const double t = wall_seconds();
       obs::span("mem", "defer", t, t);
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.deferred_prefetches;
@@ -314,13 +309,13 @@ void StrongholdEngine::issue_fetch(LayerState& st, std::byte* slot) {
     // must propagate its IoError into st.ready instead of silently
     // copying a stale master onto the device.
     store_.fault_in(st.index).get();
-    const double t0 = now_seconds();
+    const double t0 = wall_seconds();
     // st.step is read after update_done, so a bf16 encode is keyed on the
     // version of the master it encodes.
     fill_slot(st, slot);
     h2d_.transfer(wire_param_bytes(st.params));
-    if (prof != nullptr) prof->t_c2g = now_seconds() - t0;
-    obs::span("h2d", "p", t0, now_seconds());
+    if (prof != nullptr) prof->t_c2g = wall_seconds() - t0;
+    obs::span("h2d", "p", t0, wall_seconds());
   });
 }
 
@@ -329,22 +324,22 @@ void StrongholdEngine::wait_ready(LayerState& st) {
     // Deferred (or never-issued) fetch: bring the layer in on demand. By
     // now every previously computed layer's eviction is queued, so the
     // blocking acquire makes progress.
-    const double t0 = now_seconds();
+    const double t0 = wall_seconds();
     std::byte* slot =
         pool_->acquire(2 * static_cast<std::size_t>(st.params) * elem_bytes_);
     issue_fetch(st, slot);
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.demand_fetches;
-    stats_.stall_seconds += now_seconds() - t0;
+    stats_.stall_seconds += wall_seconds() - t0;
   }
   if (!st.ready.valid()) return;
   if (st.ready.wait_for(std::chrono::seconds(0)) !=
       std::future_status::ready) {
-    const double t0 = now_seconds();
+    const double t0 = wall_seconds();
     st.ready.wait();
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.prefetch_stalls;
-    stats_.stall_seconds += now_seconds() - t0;
+    stats_.stall_seconds += wall_seconds() - t0;
   }
   // Graceful degradation boundary: transient tier faults were already
   // retried inside the fetch; what remains here is a permanent failure
@@ -489,7 +484,7 @@ void StrongholdEngine::evict_after_backward(LayerState& st) {
   // One FIFO job: offload gradients, then recycle the buffer.
   const bool overwrite = accum_first_;
   auto copied = d2h_.run_async([this, &st, slot, params, prof, overwrite] {
-    const double t0 = now_seconds();
+    const double t0 = wall_seconds();
     if (bf16_window()) {
       // BF16 wire format: the gradient half of the slot already holds the
       // rounded encoding (the executor encoded the reduced FP32 gradients);
@@ -506,8 +501,8 @@ void StrongholdEngine::evict_after_backward(LayerState& st) {
       accumulate_grads(st, reinterpret_cast<float*>(slot) + params, overwrite);
     }
     d2h_.transfer(wire_param_bytes(st.params));
-    if (prof != nullptr) prof->t_g2c = now_seconds() - t0;
-    obs::span("d2h", "g", t0, now_seconds());
+    if (prof != nullptr) prof->t_g2c = wall_seconds() - t0;
+    obs::span("d2h", "g", t0, wall_seconds());
     pool_->release(slot);
   });
   if (!accum_final_) return;  // mid-cycle: accumulate only, no update
@@ -728,12 +723,12 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
       bar.arrive_and_wait();
       std::fill_n(scratch, static_cast<std::size_t>(st.params), 0.0f);
       mdl.layer(b).bind(compute_params, scratch);
-      const double t0 = now_seconds();
+      const double t0 = wall_seconds();
       x = mdl.layer(b).forward(x, micro_shape);
       if (e == 0 && profiling) {
-        profiles_[b - 1].t_fp += now_seconds() - t0;
+        profiles_[b - 1].t_fp += wall_seconds() - t0;
       }
-      if (e == 0) obs::span("gpu", "f", t0, now_seconds());
+      if (e == 0) obs::span("gpu", "f", t0, wall_seconds());
       bar.arrive_and_wait();
       // Per-executor FP grads are unused; nothing to reduce here. Eviction:
       // recycle the computed layer when a future layer still needs a slot;
@@ -786,12 +781,12 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
       const auto params = static_cast<std::size_t>(st.params);
       std::fill_n(scratch, params, 0.0f);
       mdl.layer(b).bind(compute_params, scratch);
-      const double t0 = now_seconds();
+      const double t0 = wall_seconds();
       g = mdl.layer(b).backward(g, micro_shape);
       if (e == 0 && profiling) {
-        profiles_[b - 1].t_bp += now_seconds() - t0;
+        profiles_[b - 1].t_bp += wall_seconds() - t0;
       }
-      if (e == 0) obs::span("gpu", "b", t0, now_seconds());
+      if (e == 0) obs::span("gpu", "b", t0, wall_seconds());
       bar.arrive_and_wait();
       if (e == 0) {
         // Gradient all-reduce across executors into the GPU buffer
@@ -830,34 +825,10 @@ float StrongholdEngine::train_step_body(const data::Batch& batch) {
   };
 
   // A failing executor aborts the step's barrier, so its peers leave their
-  // waits with dist::Aborted instead of parking; every thread is joined
-  // before the first real error is rethrown. An Aborted is raised only when
-  // no executor failed otherwise: it then came from outside the step (the
-  // grad_reducer's collectives), and the step must not count as done.
-  std::exception_ptr error;
-  std::exception_ptr aborted;
-  std::mutex error_mu;
-  auto run_executor = [&](std::size_t e) {
-    try {
-      executor_fn(e);
-      return;
-    } catch (const dist::Aborted&) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (!aborted) aborted = std::current_exception();
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (!error) error = std::current_exception();
-    }
-    bar.abort();
-  };
-  std::vector<std::thread> threads;
-  for (std::size_t e = 1; e < cfg_.num_executors; ++e) {
-    threads.emplace_back(run_executor, e);
-  }
-  run_executor(0);
-  for (auto& t : threads) t.join();
-  if (error) std::rethrow_exception(error);
-  if (aborted) std::rethrow_exception(aborted);
+  // waits with dist::Aborted instead of parking. An Aborted is rethrown only
+  // when no executor failed otherwise: it then came from outside the step
+  // (the grad_reducer's collectives), and the step must not count as done.
+  dist::run_fail_stop(cfg_.num_executors, executor_fn, [&] { bar.abort(); });
 
   finalize_clipped_updates();
 

@@ -10,13 +10,8 @@ namespace sh::core {
 
 using obs::wall_seconds;
 
-OptimizerPool::OptimizerPool(const optim::Optimizer& prototype,
-                             std::size_t workers)
-    : pool_(workers == 0 ? 1 : workers) {
-  const std::size_t n = workers == 0 ? 1 : workers;
-  actors_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) actors_.push_back(prototype.clone());
-}
+OptimizerPool::OptimizerPool(const optim::Optimizer& opt, std::size_t workers)
+    : opt_(opt), pool_(workers) {}
 
 void OptimizerPool::enable_moment_tier(LayerStore& store) {
   store_ = &store;
@@ -27,8 +22,8 @@ void OptimizerPool::enable_moment_tier(LayerStore& store) {
     }
   }
   // A few slots beyond the worker count so prefetched moments can sit staged
-  // while every actor is mid-update.
-  leases_.resize(actors_.size() + 4);
+  // while every worker is mid-update.
+  leases_.resize(pool_.num_threads() + 4);
   for (auto& l : leases_) l.buf.resize(max_floats);
 }
 
@@ -75,8 +70,8 @@ void OptimizerPool::release_moments(MomentLease* lease,
   moment_cv_.notify_all();
 }
 
-void OptimizerPool::step_layer(optim::Optimizer& opt, LayerState& st,
-                               float* params, const float* grads, float lr) {
+void OptimizerPool::step_layer(LayerState& st, float* params,
+                               const float* grads, float lr) {
   float* opt_state = st.cpu_opt.data();
   MomentLease* lease = nullptr;
   if (store_ != nullptr && st.opt_tiered) {
@@ -90,7 +85,7 @@ void OptimizerPool::step_layer(optim::Optimizer& opt, LayerState& st,
     opt_state = lease->buf.data();
   }
   ++st.step;
-  opt.step(params, grads, opt_state, st.step, st.params, lr);
+  opt_.step(params, grads, opt_state, st.step, st.params, lr);
   if (lease != nullptr) {
     auto wb = store_->swap()->write_async(
         LayerStore::moment_key(st.index),
@@ -106,20 +101,12 @@ std::shared_future<void> OptimizerPool::submit(LayerState& st,
                                                std::shared_future<void> after,
                                                std::function<void()> post_update,
                                                float lr) {
-  const std::size_t actor =
-      next_actor_.fetch_add(1, std::memory_order_relaxed) % actors_.size();
-  optim::Optimizer* opt = actors_[actor].get();
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-  auto fut = pool_.async([this, opt, &st, after, lr,
+  auto fut = pool_.async([this, &st, after, lr,
                           post = std::move(post_update)] {
-    struct InFlight {
-      std::atomic<std::size_t>& n;
-      ~InFlight() { n.fetch_sub(1, std::memory_order_relaxed); }
-    } in_flight_guard{in_flight_};
     if (after.valid()) after.wait();
     const double t0 = wall_seconds();
     try {
-      step_layer(*opt, st, st.cpu_params.data(), st.cpu_grads.data(), lr);
+      step_layer(st, st.cpu_params.data(), st.cpu_grads.data(), lr);
     } catch (const storage::IoError&) {
       // Tier retry budget exhausted: drop this layer's step whole — params,
       // moments and step count all stay unchanged (no torn update). The
@@ -138,7 +125,7 @@ std::shared_future<void> OptimizerPool::submit(LayerState& st,
 void OptimizerPool::update_now(LayerState& st, float* params,
                                const float* grads, float lr) {
   obs::ObsScope scope("cpu-opt", "update_now");
-  step_layer(*actors_[0], st, params, grads, lr);
+  step_layer(st, params, grads, lr);
 }
 
 void OptimizerPool::wait_all() { pool_.wait_idle(); }

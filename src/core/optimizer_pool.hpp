@@ -1,17 +1,17 @@
 // Concurrent parameter update (Section III-E1).
 //
 // Conventional schemes (including ZeRO-Offload) drive one optimizer; the
-// STRONGHOLD runtime instead creates multiple optimizer instances at model
-// initialisation and dispatches them as asynchronous actors so several
-// layers update simultaneously on CPU cores, concurrently with the GPU's
-// backward computation. The paper uses Ray actors; we use a thread pool.
+// STRONGHOLD runtime instead dispatches updates as asynchronous actors so
+// several layers update simultaneously on CPU cores, concurrently with the
+// GPU's backward computation. The paper uses Ray actors; we use a thread
+// pool. An optimizer is stateless (Optimizer::step is const and the moments
+// live in each LayerState), so every update thread shares one instance.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -23,9 +23,9 @@ namespace sh::core {
 
 class OptimizerPool {
  public:
-  /// Creates `workers` optimizer actors, each holding its own clone of
-  /// `prototype`.
-  OptimizerPool(const optim::Optimizer& prototype, std::size_t workers);
+  /// Creates `workers` update threads that all step with `opt`, which must
+  /// outlive the pool.
+  OptimizerPool(const optim::Optimizer& opt, std::size_t workers);
 
   /// Schedules an asynchronous parameter update for `st` using its CPU-side
   /// grads and optimizer state. If `after` is valid, the update waits for it
@@ -49,7 +49,7 @@ class OptimizerPool {
   void wait_all();
   std::size_t updates_completed() const noexcept { return completed_.load(); }
   /// Updates submitted but not yet finished (occupancy gauge).
-  std::size_t in_flight() const noexcept { return in_flight_.load(); }
+  std::size_t in_flight() const { return pool_.pending(); }
   std::size_t workers() const noexcept { return pool_.num_threads(); }
 
   /// Enables NVMe-resident moment paging (ZeRO-Infinity-style optimizer
@@ -94,18 +94,16 @@ class OptimizerPool {
   MomentLease* claim_moments(LayerState& st,
                              std::atomic<std::size_t>& reads);
   /// The one optimizer-step body: stages tier moments, steps `params`
-  /// against `grads` with `opt`, queues the moment write-back and counts the
-  /// update. A failed moment read releases the lease and rethrows before
-  /// anything is mutated.
-  void step_layer(optim::Optimizer& opt, LayerState& st, float* params,
-                  const float* grads, float lr);
+  /// against `grads`, queues the moment write-back and counts the update. A
+  /// failed moment read releases the lease and rethrows before anything is
+  /// mutated.
+  void step_layer(LayerState& st, float* params, const float* grads,
+                  float lr);
   void release_moments(MomentLease* lease,
                        std::shared_future<void> write_back);
 
-  std::vector<std::unique_ptr<optim::Optimizer>> actors_;
-  std::atomic<std::size_t> next_actor_{0};
+  const optim::Optimizer& opt_;
   std::atomic<std::size_t> completed_{0};
-  std::atomic<std::size_t> in_flight_{0};
 
   LayerStore* store_ = nullptr;  // non-null once the moment tier is enabled
   std::vector<MomentLease> leases_;

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "tensor/ops.hpp"
@@ -99,42 +98,25 @@ float DataParallelTrainer::train_step(const data::Batch& global_batch) {
 
   // A failing rank aborts the collectives, so its peers leave their waits
   // with dist::Aborted instead of parking in an all-reduce it never joins.
+  // The aborted collectives are replaced, so the trainer stays usable.
   std::vector<float> losses(static_cast<std::size_t>(world), 0.0f);
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(world));
-  std::vector<std::exception_ptr> aborts(static_cast<std::size_t>(world));
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(world));
-  for (int r = 0; r < world; ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        data::Batch local;
-        const std::size_t lo = static_cast<std::size_t>(r) * shard;
-        local.ids.assign(
-            global_batch.ids.begin() + static_cast<std::ptrdiff_t>(lo),
-            global_batch.ids.begin() + static_cast<std::ptrdiff_t>(lo + shard));
-        local.targets.assign(
-            global_batch.targets.begin() + static_cast<std::ptrdiff_t>(lo),
-            global_batch.targets.begin() +
-                static_cast<std::ptrdiff_t>(lo + shard));
-        losses[static_cast<std::size_t>(r)] =
-            ranks_[static_cast<std::size_t>(r)]->engine->train_step(local);
-      } catch (const Aborted&) {
-        aborts[static_cast<std::size_t>(r)] = std::current_exception();
-        comm_->abort();
-      } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-        comm_->abort();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  // A rank's own failure outranks the Aborted it caused in its peers. The
-  // aborted collectives are replaced, so the trainer stays usable.
-  errors.insert(errors.end(), aborts.begin(), aborts.end());
-  for (auto& err : errors) {
-    if (!err) continue;
+  try {
+    run_fail_stop(
+        static_cast<std::size_t>(world),
+        [&](std::size_t r) {
+          data::Batch local;
+          const auto lo = static_cast<std::ptrdiff_t>(r * shard);
+          const auto hi = lo + static_cast<std::ptrdiff_t>(shard);
+          local.ids.assign(global_batch.ids.begin() + lo,
+                           global_batch.ids.begin() + hi);
+          local.targets.assign(global_batch.targets.begin() + lo,
+                               global_batch.targets.begin() + hi);
+          losses[r] = ranks_[r]->engine->train_step(local);
+        },
+        [this] { comm_->abort(); });
+  } catch (...) {
     rebuild_comm();
-    std::rethrow_exception(err);
+    throw;
   }
   float mean = 0.0f;
   for (float l : losses) mean += l;

@@ -1,7 +1,8 @@
 #include "dist/process_group.hpp"
 
 #include <algorithm>
-#include <string>
+#include <exception>
+#include <thread>
 
 namespace sh::dist {
 
@@ -38,6 +39,38 @@ void Barrier::abort() {
   cv_.notify_all();
 }
 
+void run_fail_stop(std::size_t n, const std::function<void(std::size_t)>& body,
+                   const std::function<void()>& abort) {
+  std::vector<std::exception_ptr> errors(n);
+  std::vector<std::exception_ptr> aborts(n);
+  auto run = [&](std::size_t i) {
+    try {
+      body(i);
+      return;
+    } catch (const Aborted&) {
+      aborts[i] = std::current_exception();
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+    abort();
+  };
+  std::vector<std::thread> threads;
+  try {
+    for (std::size_t i = 1; i < n; ++i) threads.emplace_back(run, i);
+  } catch (...) {  // a thread could not be started: stop the ones that were
+    abort();
+    for (auto& t : threads) t.join();
+    throw;
+  }
+  if (n > 0) run(0);
+  for (auto& t : threads) t.join();
+  for (const auto* list : {&errors, &aborts}) {
+    for (const auto& err : *list) {
+      if (err) std::rethrow_exception(err);
+    }
+  }
+}
+
 ProcessGroup::ProcessGroup(int world) : world_(world), barrier_(world) {
   peers_.resize(static_cast<std::size_t>(world));
 }
@@ -48,22 +81,19 @@ void ProcessGroup::check_rank(int rank) const {
   }
 }
 
-void ProcessGroup::enter(int rank, const Peer& self, const char* what) {
+void ProcessGroup::enter(int rank, const Peer& self) {
   check_rank(rank);
   peers_[static_cast<std::size_t>(rank)] = self;
   barrier_.arrive_and_wait();
   // Every rank validates the same published state, so on a mismatch all
   // ranks throw together instead of some deadlocking at the next barrier or
   // reading past the end of a smaller peer buffer.
-  const bool agree = std::all_of(peers_.begin(), peers_.end(),
-                                 [&](const Peer& p) {
-                                   return p.ok && p.size == self.size &&
-                                          p.root == self.root;
-                                 });
+  const bool agree =
+      std::all_of(peers_.begin(), peers_.end(),
+                  [&](const Peer& p) { return p.size == self.size; });
   if (!agree) {
     barrier_.arrive_and_wait();
-    throw std::invalid_argument(std::string(what) +
-                                ": buffer shapes or roots differ across ranks");
+    throw std::invalid_argument("all_reduce: buffer sizes differ across ranks");
   }
 }
 
@@ -87,7 +117,7 @@ void ProcessGroup::sum_chunk(std::size_t lo, std::size_t hi,
 }
 
 void ProcessGroup::all_reduce_sum(int rank, std::span<float> data) {
-  enter(rank, {data.data(), data.size()}, "all_reduce");
+  enter(rank, {data.data(), data.size()});
   const std::size_t n = data.size();
   const auto w = static_cast<std::size_t>(world_);
   const auto me = static_cast<std::size_t>(rank);
@@ -104,44 +134,6 @@ void ProcessGroup::all_reduce_sum(int rank, std::span<float> data) {
   }
   // Paper convention (Section III-F): (w-1) * w * N.
   if (rank == 0) floats_communicated_ += (w - 1) * w * n;
-  barrier_.arrive_and_wait();
-}
-
-void ProcessGroup::all_gather(int rank, std::span<const float> in,
-                              std::span<float> out) {
-  const auto w = static_cast<std::size_t>(world_);
-  enter(rank, {in.data(), in.size(), 0, out.size() == w * in.size()},
-        "all_gather");
-  for (std::size_t r = 0; r < w; ++r) {
-    std::copy_n(peers_[r].in, in.size(), out.data() + r * in.size());
-  }
-  if (rank == 0) floats_communicated_ += (w - 1) * w * in.size();
-  barrier_.arrive_and_wait();
-}
-
-void ProcessGroup::reduce_scatter_sum(int rank, std::span<const float> in,
-                                      std::span<float> out) {
-  const auto w = static_cast<std::size_t>(world_);
-  enter(rank, {in.data(), in.size(), 0, in.size() == w * out.size()},
-        "reduce_scatter");
-  // Shard r is rank r's owner chunk; no peer reads `out`, so no barrier is
-  // needed between the sum and the exit.
-  const std::size_t lo = static_cast<std::size_t>(rank) * out.size();
-  sum_chunk(lo, lo + out.size(), out.data());
-  if (rank == 0) floats_communicated_ += (w - 1) * w * out.size();
-  barrier_.arrive_and_wait();
-}
-
-void ProcessGroup::broadcast(int rank, int root, std::span<float> data) {
-  enter(rank, {data.data(), data.size(), root, root >= 0 && root < world_},
-        "broadcast");
-  if (rank != root) {
-    std::copy_n(peers_[static_cast<std::size_t>(root)].in, data.size(),
-                data.data());
-  }
-  if (rank == 0) {
-    floats_communicated_ += static_cast<std::size_t>(world_ - 1) * data.size();
-  }
   barrier_.arrive_and_wait();
 }
 

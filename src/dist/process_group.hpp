@@ -9,6 +9,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <span>
 #include <stdexcept>
@@ -40,12 +41,22 @@ class Barrier {
   bool aborted_ = false;
 };
 
+/// Runs body(0), ..., body(n-1) concurrently and fail-stop: index 0 on the
+/// calling thread, every other index on a thread of its own. A body that
+/// throws calls `abort`, which must release the other bodies from their
+/// waits (Barrier::abort, ProcessGroup::abort). Every thread is joined
+/// before anything is rethrown: the lowest-index error that is not Aborted,
+/// else the lowest-index Aborted, since a participant's own failure
+/// outranks the Aborted it caused in its peers.
+void run_fail_stop(std::size_t n, const std::function<void(std::size_t)>& body,
+                   const std::function<void()>& abort);
+
 /// Collective communication over `world` rank-threads. Every rank must call
 /// each collective exactly once per round, like MPI/NCCL communicators.
 /// Ranks read each other's buffers directly, so different ranks' buffers
 /// must not overlap. Reductions are owner-chunked: of N elements, rank r
-/// sums [N*r/w, N*(r+1)/w) of every rank's buffer. Arguments are compared
-/// across ranks after the first barrier; on any mismatch every rank throws
+/// sums [N*r/w, N*(r+1)/w) of every rank's buffer. Buffer sizes are compared
+/// across ranks after the first barrier; on a mismatch every rank throws
 /// std::invalid_argument and none reads a peer's buffer.
 class ProcessGroup {
  public:
@@ -57,19 +68,6 @@ class ProcessGroup {
   /// Reduce-scatter into each owner's chunk of its own buffer, then
   /// all-gather of the other owners' chunks: three barriers.
   void all_reduce_sum(int rank, std::span<float> data);
-
-  /// Concatenates every rank's `in` into `out` (out.size == w * in.size).
-  void all_gather(int rank, std::span<const float> in, std::span<float> out);
-
-  /// Sums across ranks, then rank r keeps shard r
-  /// (in.size == w * out.size). Shard r is exactly rank r's owner chunk, so
-  /// it is summed straight into `out`: two barriers.
-  void reduce_scatter_sum(int rank, std::span<const float> in,
-                          std::span<float> out);
-
-  /// Copies root's buffer to every rank; all ranks must pass the same root,
-  /// in [0, world).
-  void broadcast(int rank, int root, std::span<float> data);
 
   void barrier(int rank);
 
@@ -87,16 +85,14 @@ class ProcessGroup {
   struct Peer {
     const float* in = nullptr;
     std::size_t size = 0;
-    int root = 0;
-    bool ok = true;  ///< this rank's own arguments are consistent
   };
 
   void check_rank(int rank) const;
   /// Publishes this rank's buffer, waits for every rank, then checks that
-  /// every rank's arguments are consistent and all agree on size and root.
-  /// Otherwise every rank passes one more barrier (so nobody republishes
-  /// while a peer still validates) and throws std::invalid_argument.
-  void enter(int rank, const Peer& self, const char* what);
+  /// all agree on its size. Otherwise every rank passes one more barrier (so
+  /// nobody republishes while a peer still validates) and throws
+  /// std::invalid_argument.
+  void enter(int rank, const Peer& self);
   /// Writes, into `out`, elements [lo, hi) of the rank-order sum of every
   /// rank's published buffer.
   void sum_chunk(std::size_t lo, std::size_t hi, float* out) const;

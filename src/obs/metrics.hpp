@@ -1,5 +1,5 @@
-// sh::obs metrics — named counters/gauges/histograms and the process-wide
-// snapshot registry that absorbs the runtime's scattered stat surfaces.
+// sh::obs metrics — histograms and the process-wide snapshot registry that
+// absorbs the runtime's scattered stat surfaces.
 //
 // The registry is PULL-based: subsystems register a provider callback that
 // appends (name, value, unit) rows when a snapshot is taken, so steady-state
@@ -12,7 +12,6 @@
 // docs/OBSERVABILITY.md.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -21,33 +20,6 @@
 #include <vector>
 
 namespace sh::obs {
-
-/// Monotonic event count. Lock-free; readable while hot paths bump it.
-class Counter {
- public:
-  void add(std::uint64_t n = 1) noexcept {
-    v_.fetch_add(n, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const noexcept {
-    return v_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> v_{0};
-};
-
-/// Instantaneous level (queue depth, in-flight tasks). Lock-free.
-class Gauge {
- public:
-  void set(std::int64_t v) noexcept { v_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t d) noexcept { v_.fetch_add(d, std::memory_order_relaxed); }
-  std::int64_t value() const noexcept {
-    return v_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::int64_t> v_{0};
-};
 
 /// Sample-storing distribution with interpolated percentiles — the one
 /// implementation of "sort the samples and take p50/p99" (serve request

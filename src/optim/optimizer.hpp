@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 namespace sh::optim {
 
@@ -23,13 +22,12 @@ class Optimizer {
   /// n * state_per_param() floats laid out as contiguous planes
   /// (all momentum, then all variance). `t` is the 1-based step count.
   /// `lr` overrides the configured learning rate when >= 0 (learning-rate
-  /// schedules pass the per-step value here so asynchronous actors always
-  /// apply the rate that was current when the step was *submitted*).
+  /// schedules pass the per-step value here so asynchronous updates always
+  /// apply the rate that was current when the step was *submitted*). All
+  /// mutable state is in the arguments, so concurrent steps on different
+  /// layers may share one optimizer.
   virtual void step(float* params, const float* grads, float* state,
                     std::int64_t t, std::int64_t n, float lr = -1.0f) const = 0;
-
-  /// Clone used to hand each concurrent optimizer actor its own instance.
-  virtual std::unique_ptr<Optimizer> clone() const = 0;
 };
 
 struct AdamConfig {
@@ -48,9 +46,6 @@ class Adam final : public Optimizer {
   std::int64_t state_per_param() const noexcept override { return 2; }
   void step(float* params, const float* grads, float* state, std::int64_t t,
             std::int64_t n, float lr = -1.0f) const override;
-  std::unique_ptr<Optimizer> clone() const override {
-    return std::make_unique<Adam>(config_);
-  }
 
   const AdamConfig& config() const noexcept { return config_; }
 
@@ -73,9 +68,6 @@ class Sgd final : public Optimizer {
   }
   void step(float* params, const float* grads, float* state, std::int64_t t,
             std::int64_t n, float lr = -1.0f) const override;
-  std::unique_ptr<Optimizer> clone() const override {
-    return std::make_unique<Sgd>(config_);
-  }
 
  private:
   SgdConfig config_;

@@ -10,9 +10,8 @@
 // results under injected faults.
 //
 // Recovery contract: injected faults throw TransientIoError (is-a IoError);
-// the SwapFile's retry policy (executed on the I/O worker via
-// hw::TransferEngine::run_async_retry) re-attempts the op with exponential
-// backoff up to FaultConfig::max_attempts. Because every swap op is an
+// the SwapFile's retry loop, which runs on its I/O worker, re-attempts the op
+// with exponential backoff up to FaultConfig::max_attempts. Because every swap op is an
 // idempotent pread/pwrite at a fixed region offset, a retry never changes
 // the bytes that eventually land. When the attempt budget is exhausted the
 // final error is rethrown as IoError{FaultBudgetExhausted} — the typed
@@ -66,7 +65,7 @@ class IoError : public std::runtime_error {
   std::size_t attempts_;
 };
 
-/// Retryable injected fault — the retry policy re-attempts exactly these.
+/// Retryable injected fault — the retry loop re-attempts exactly these.
 class TransientIoError : public IoError {
  public:
   using IoError::IoError;
@@ -81,7 +80,7 @@ struct FaultDecision {
   double short_fraction = 0.0;   ///< ShortOp: fraction transferred before cut
 };
 
-/// Knobs for the fault plan and the paired retry policy. Every field has an
+/// Knobs for the fault plan and the retry budget. Every field has an
 /// SH_FAULT_* environment override (see fault_config_from_env / README).
 struct FaultConfig {
   /// Per-attempt probability of injecting any fault; 0 disables the plan.
@@ -101,7 +100,7 @@ struct FaultConfig {
   bool fault_reads = true;
   bool fault_writes = true;
 
-  // Retry policy, threaded through hw::TransferEngine::run_async_retry.
+  // Retry budget and backoff of SwapFile's retry loop.
   std::size_t max_attempts = 4;  ///< total tries per op (1 = no retry)
   double backoff_initial_s = 2e-4;
   double backoff_multiplier = 2.0;

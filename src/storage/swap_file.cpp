@@ -122,57 +122,6 @@ void SwapFile::rethrow_pending() {
   if (err) std::rethrow_exception(err);
 }
 
-hw::RetryPolicy SwapFile::retry_policy(IoOp op, std::int64_t key) {
-  const FaultConfig& fc = plan_.config();
-  hw::RetryPolicy p;
-  p.max_attempts = std::max<std::size_t>(fc.max_attempts, 1);
-  p.backoff_initial_s = fc.backoff_initial_s;
-  p.backoff_multiplier = fc.backoff_multiplier;
-  p.backoff_max_s = fc.backoff_max_s;
-  p.obs_track = "swap";
-  p.retryable = [](const std::exception_ptr& ep) {
-    try {
-      std::rethrow_exception(ep);
-    } catch (const TransientIoError&) {
-      return true;
-    } catch (...) {
-      return false;
-    }
-  };
-  p.on_retry = [this](std::size_t, double backoff_s) {
-    retries_.fetch_add(1, std::memory_order_relaxed);
-    backoff_nanos_.fetch_add(static_cast<std::uint64_t>(backoff_s * 1e9),
-                             std::memory_order_relaxed);
-  };
-  p.on_exhausted = [this, op, key](const std::exception_ptr& ep,
-                                   std::size_t attempts) -> std::exception_ptr {
-    // Only transient (injected) faults represent an exhausted retry budget;
-    // structural errors (syscall failures) pass through unchanged.
-    bool transient = false;
-    std::string detail;
-    try {
-      std::rethrow_exception(ep);
-    } catch (const TransientIoError& e) {
-      transient = true;
-      detail = e.what();
-    } catch (...) {
-    }
-    if (!transient) {
-      note_failure(ep);
-      return nullptr;
-    }
-    io_errors_.fetch_add(1, std::memory_order_relaxed);
-    auto out = std::make_exception_ptr(IoError(
-        IoErrorKind::FaultBudgetExhausted,
-        "SwapFile: fault budget exhausted after " + std::to_string(attempts) +
-            " attempts (key " + std::to_string(key) + "): " + detail,
-        op, key, attempts));
-    note_failure(out);
-    return out;
-  };
-  return p;
-}
-
 void SwapFile::attempt_io(IoOp op, std::int64_t key, const Region& r,
                           char* rd_buf, const char* wr_buf,
                           std::size_t attempt) {
@@ -229,30 +178,71 @@ void SwapFile::attempt_io(IoOp op, std::int64_t key, const Region& r,
   }
 }
 
+std::shared_future<void> SwapFile::submit_io(IoOp op, std::int64_t key,
+                                             Region r, char* rd_buf,
+                                             const char* wr_buf) {
+  // The whole retry sequence runs on the I/O worker: a faulted op stalls the
+  // FIFO queue behind its backoff, like a real stalled NVMe queue.
+  return io_.run_async([this, op, key, r, rd_buf, wr_buf] {
+    const FaultConfig& fc = plan_.config();
+    const std::size_t budget = std::max<std::size_t>(fc.max_attempts, 1);
+    const bool is_read = op == IoOp::Read;
+    double backoff = fc.backoff_initial_s;
+    for (std::size_t attempt = 0;; ++attempt) {
+      try {
+        obs::ObsScope scope("swap", is_read ? "read" : "write");
+        attempt_io(op, key, r, rd_buf, wr_buf, attempt);
+        (is_read ? reads_ : writes_).fetch_add(1, std::memory_order_relaxed);
+        return;
+      } catch (const TransientIoError& e) {
+        if (attempt + 1 >= budget) {
+          io_errors_.fetch_add(1, std::memory_order_relaxed);
+          auto err = std::make_exception_ptr(IoError(
+              IoErrorKind::FaultBudgetExhausted,
+              "SwapFile: fault budget exhausted after " +
+                  std::to_string(attempt + 1) + " attempts (key " +
+                  std::to_string(key) + "): " + e.what(),
+              op, key, attempt + 1));
+          note_failure(err);
+          std::rethrow_exception(err);
+        }
+      } catch (...) {
+        // Structural errors (syscall failures) are not retried.
+        note_failure(std::current_exception());
+        throw;
+      }
+      retries_.fetch_add(1, std::memory_order_relaxed);
+      backoff_nanos_.fetch_add(static_cast<std::uint64_t>(backoff * 1e9),
+                               std::memory_order_relaxed);
+      if (backoff > 0.0) {
+        const double t0 = obs::wall_seconds();
+        std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
+        obs::span("swap", "retry", t0, obs::wall_seconds());
+      } else {
+        obs::instant("swap", "retry");
+      }
+      backoff *= fc.backoff_multiplier;
+      if (fc.backoff_max_s > 0.0 && backoff > fc.backoff_max_s) {
+        backoff = fc.backoff_max_s;
+      }
+    }
+  });
+}
+
 std::shared_future<void> SwapFile::write_async(std::int64_t key,
                                                std::span<const float> data) {
   const Region r = region_for(key, data.size_bytes(), /*create=*/true,
                               IoOp::Write);
-  auto job = [this, key, r, data](std::size_t attempt) {
-    obs::ObsScope scope("swap", "write");
-    attempt_io(IoOp::Write, key, r, nullptr,
-               reinterpret_cast<const char*>(data.data()), attempt);
-    writes_.fetch_add(1, std::memory_order_relaxed);
-  };
-  return io_.run_async_retry(std::move(job), retry_policy(IoOp::Write, key));
+  return submit_io(IoOp::Write, key, r, nullptr,
+                   reinterpret_cast<const char*>(data.data()));
 }
 
 std::shared_future<void> SwapFile::read_async(std::int64_t key,
                                               std::span<float> out) {
   const Region r =
       region_for(key, out.size_bytes(), /*create=*/false, IoOp::Read);
-  auto job = [this, key, r, out](std::size_t attempt) {
-    obs::ObsScope scope("swap", "read");
-    attempt_io(IoOp::Read, key, r, reinterpret_cast<char*>(out.data()),
-               nullptr, attempt);
-    reads_.fetch_add(1, std::memory_order_relaxed);
-  };
-  return io_.run_async_retry(std::move(job), retry_policy(IoOp::Read, key));
+  return submit_io(IoOp::Read, key, r, reinterpret_cast<char*>(out.data()),
+                   nullptr);
 }
 
 std::shared_future<void> SwapFile::join_async(

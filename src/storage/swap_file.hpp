@@ -8,11 +8,12 @@
 //
 // The tier is fallible by design: a seeded FaultPlan (storage/fault_plan.hpp)
 // can inject latency spikes, short reads/writes, and transient EIO-style
-// failures into every attempt; a bounded-retry policy with exponential
-// backoff (hw::TransferEngine::run_async_retry) recovers from transient
-// faults, and every error surface is a typed storage::IoError. Permanent
-// failures whose futures nobody holds (fire-and-forget write-backs) are
-// latched and rethrown from rethrow_pending().
+// failures into every attempt. The tier's own bounded retry loop with
+// exponential backoff, run on the I/O worker, recovers from transient
+// faults; structural failures are not retried, and every error surface is a
+// typed storage::IoError. Permanent failures whose futures nobody holds
+// (fire-and-forget write-backs) are latched and rethrown from
+// rethrow_pending().
 #pragma once
 
 #include <atomic>
@@ -35,8 +36,8 @@ class SwapFile {
  public:
   /// Creates (truncates) the swap file at `path`. `capacity_bytes` bounds the
   /// total region size (0 = unbounded). `bytes_per_second` throttles I/O
-  /// (0 = full speed). `faults` configures injected faults and the paired
-  /// retry policy (default: healthy device, no retries needed).
+  /// (0 = full speed). `faults` configures injected faults and the retry
+  /// budget (default: healthy device, no retries needed).
   SwapFile(std::string path, std::size_t capacity_bytes = 0,
            double bytes_per_second = 0.0, FaultConfig faults = {});
   ~SwapFile();
@@ -121,7 +122,13 @@ class SwapFile {
 
   Region region_for(std::int64_t key, std::size_t bytes, bool create,
                     IoOp op);
-  hw::RetryPolicy retry_policy(IoOp op, std::int64_t key);
+  /// Queues one full-region read (into `rd_buf`) or write (from `wr_buf`)
+  /// on the I/O worker with the FaultConfig's retry budget: a
+  /// TransientIoError is retried after a backoff until the budget is spent
+  /// and then becomes IoError{FaultBudgetExhausted}; any other error fails
+  /// the op at once. Permanent failures are latched for rethrow_pending().
+  std::shared_future<void> submit_io(IoOp op, std::int64_t key, Region r,
+                                     char* rd_buf, const char* wr_buf);
   /// One faulted/healthy attempt of a full-region transfer. Applies the
   /// FaultDecision: EIO throws before any I/O, a short op transfers a
   /// prefix then throws (the retry redoes the idempotent full op), a

@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -73,6 +73,98 @@ TEST(Barrier, AbortReleasesCurrentAndLaterWaiters) {
   EXPECT_THROW(b.arrive_and_wait(), Aborted);
 }
 
+// --- Fail-stop fan-out --------------------------------------------------------
+
+TEST(FailStop, RunsIndexZeroOnTheCallerAndTheRestOnTheirOwnThreads) {
+  for (const std::size_t n : {1u, 2u, 4u}) {
+    std::vector<std::thread::id> ids(n);
+    std::atomic<int> aborts{0};
+    run_fail_stop(
+        n, [&](std::size_t i) { ids[i] = std::this_thread::get_id(); },
+        [&] { aborts.fetch_add(1); });
+    EXPECT_EQ(ids[0], std::this_thread::get_id());
+    for (std::size_t i = 1; i < n; ++i) {
+      for (std::size_t j = 0; j < i; ++j) EXPECT_NE(ids[i], ids[j]);
+    }
+    EXPECT_EQ(aborts.load(), 0);
+  }
+}
+
+TEST(FailStop, EveryBodyHasReturnedBeforeTheErrorIsRethrown) {
+  // The last index fails at once; the others park on a barrier until the
+  // abort releases them with Aborted. Each failing body calls abort.
+  for (const std::size_t n : {1u, 2u, 4u}) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    Barrier bar(static_cast<int>(n));
+    std::atomic<std::size_t> returned{0};
+    std::atomic<int> aborts{0};
+    try {
+      run_fail_stop(
+          n,
+          [&](std::size_t i) {
+            struct Exit {
+              std::atomic<std::size_t>& n;
+              ~Exit() { n.fetch_add(1); }
+            } exit{returned};
+            if (i == n - 1) throw std::logic_error("last");
+            bar.arrive_and_wait();
+          },
+          [&] {
+            aborts.fetch_add(1);
+            bar.abort();
+          });
+      ADD_FAILURE() << "no error rethrown";
+    } catch (const std::logic_error& e) {
+      EXPECT_STREQ(e.what(), "last");
+    }
+    EXPECT_EQ(returned.load(), n);
+    EXPECT_EQ(aborts.load(), static_cast<int>(n));
+  }
+}
+
+TEST(FailStop, LowestIndexRealErrorBeatsAbortedAndLaterErrors) {
+  // Index 3 fails first in time, index 1 later; indices 0 and 2 leave the
+  // barrier with Aborted. Index 1's error is the one rethrown.
+  Barrier bar(4);
+  try {
+    run_fail_stop(
+        4,
+        [&](std::size_t i) {
+          if (i == 3) throw std::logic_error("index 3");
+          if (i == 1) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            throw std::logic_error("index 1");
+          }
+          bar.arrive_and_wait();
+        },
+        [&] { bar.abort(); });
+    ADD_FAILURE() << "no error rethrown";
+  } catch (const Aborted&) {
+    ADD_FAILURE() << "an Aborted outranked a real error";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "index 1");
+  }
+}
+
+TEST(FailStop, AbortedAloneIsRethrown) {
+  // An Aborted raised from outside the fan-out (a collective another group
+  // aborted) with no real error behind it still fails the whole run.
+  Barrier bar(2);
+  std::atomic<int> aborts{0};
+  EXPECT_THROW(run_fail_stop(
+                   2,
+                   [&](std::size_t i) {
+                     if (i == 1) throw Aborted("outside");
+                     bar.arrive_and_wait();
+                   },
+                   [&] {
+                     aborts.fetch_add(1);
+                     bar.abort();
+                   }),
+               Aborted);
+  EXPECT_EQ(aborts.load(), 2);
+}
+
 TEST(ProcessGroup, AbortReleasesRanksInsideACollective) {
   // Rank 2 fails before its all-reduce and aborts the group; the ranks
   // already inside (or still entering) the collective leave with Aborted,
@@ -135,94 +227,16 @@ TEST(ProcessGroup, AllReduceRepeatedRounds) {
   }
 }
 
-TEST(ProcessGroup, AllGatherConcatenatesShards) {
-  const int world = 3;
-  ProcessGroup pg(world);
-  std::vector<std::vector<float>> outs(world, std::vector<float>(6));
-  run_ranks(world, [&](int rank) {
-    std::vector<float> in = {static_cast<float>(rank),
-                             static_cast<float>(rank * 10)};
-    pg.all_gather(rank, in, outs[static_cast<std::size_t>(rank)]);
-  });
-  for (int r = 0; r < world; ++r) {
-    EXPECT_EQ(outs[static_cast<std::size_t>(r)],
-              (std::vector<float>{0, 0, 1, 10, 2, 20}));
-  }
-}
-
-TEST(ProcessGroup, ReduceScatterGivesEachRankItsShard) {
-  const int world = 2;
-  ProcessGroup pg(world);
-  std::vector<std::vector<float>> outs(world, std::vector<float>(2));
-  run_ranks(world, [&](int rank) {
-    // Both ranks contribute [1,2,3,4] and [10,20,30,40].
-    std::vector<float> in = rank == 0 ? std::vector<float>{1, 2, 3, 4}
-                                      : std::vector<float>{10, 20, 30, 40};
-    pg.reduce_scatter_sum(rank, in, outs[static_cast<std::size_t>(rank)]);
-  });
-  EXPECT_EQ(outs[0], (std::vector<float>{11, 22}));
-  EXPECT_EQ(outs[1], (std::vector<float>{33, 44}));
-}
-
-TEST(ProcessGroup, BroadcastCopiesRoot) {
-  const int world = 4;
-  ProcessGroup pg(world);
-  std::vector<std::vector<float>> bufs(world, std::vector<float>(3, 0.0f));
-  bufs[2] = {7.0f, 8.0f, 9.0f};
-  run_ranks(world, [&](int rank) {
-    pg.broadcast(rank, 2, bufs[static_cast<std::size_t>(rank)]);
-  });
-  for (int r = 0; r < world; ++r) {
-    EXPECT_EQ(bufs[static_cast<std::size_t>(r)],
-              (std::vector<float>{7, 8, 9}));
-  }
-}
-
-enum class Mismatch {
-  AllReduce,
-  AllGather,
-  ReduceScatter,
-  Broadcast,
-  BroadcastRoot,  ///< same sizes, ranks name different roots
-  AllGatherOut,   ///< same input sizes, one rank's `out` has the wrong size
-};
-
-class ProcessGroupMismatch : public ::testing::TestWithParam<Mismatch> {};
-
-TEST_P(ProcessGroupMismatch, SizeMismatchThrowsOnEveryRank) {
+TEST(ProcessGroup, SizeMismatchThrowsOnEveryRank) {
   const int world = 3;
   ProcessGroup pg(world);
   std::atomic<int> threw{0};
   run_ranks(world, [&](int rank) {
     // Rank 1's buffer is one float short: a peer that read it at its own
     // length would run past its end.
-    const bool shapes_differ = GetParam() != Mismatch::BroadcastRoot &&
-                               GetParam() != Mismatch::AllGatherOut;
-    const std::size_t n = shapes_differ && rank == 1 ? 4 : 5;
-    std::vector<float> buf(n, 1.0f);
-    std::vector<float> wide(n * world, 1.0f);
+    std::vector<float> buf(rank == 1 ? 4 : 5, 1.0f);
     try {
-      switch (GetParam()) {
-        case Mismatch::AllReduce:
-          pg.all_reduce_sum(rank, buf);
-          break;
-        case Mismatch::AllGather:
-          pg.all_gather(rank, buf, wide);
-          break;
-        case Mismatch::ReduceScatter:
-          pg.reduce_scatter_sum(rank, wide, buf);
-          break;
-        case Mismatch::Broadcast:  // the short rank is the root
-          pg.broadcast(rank, 1, buf);
-          break;
-        case Mismatch::BroadcastRoot:
-          pg.broadcast(rank, rank == 2 ? 0 : 1, buf);
-          break;
-        case Mismatch::AllGatherOut:
-          pg.all_gather(rank, buf,
-                        std::span(wide).first(rank == 1 ? n : n * world));
-          break;
-      }
+      pg.all_reduce_sum(rank, buf);
     } catch (const std::invalid_argument&) {
       threw.fetch_add(1);
     }
@@ -235,20 +249,6 @@ TEST_P(ProcessGroupMismatch, SizeMismatchThrowsOnEveryRank) {
   });
   EXPECT_EQ(bufs[0][0], 3.0f);
 }
-
-std::string mismatch_name(const ::testing::TestParamInfo<Mismatch>& info) {
-  constexpr const char* kNames[] = {"AllReduce",     "AllGather",
-                                    "ReduceScatter", "Broadcast",
-                                    "BroadcastRoot", "AllGatherOut"};
-  return kNames[static_cast<int>(info.param)];
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Collectives, ProcessGroupMismatch,
-    ::testing::Values(Mismatch::AllReduce, Mismatch::AllGather,
-                      Mismatch::ReduceScatter, Mismatch::Broadcast,
-                      Mismatch::BroadcastRoot, Mismatch::AllGatherOut),
-    mismatch_name);
 
 /// Rank r's input at element i, chosen so that summing in any order but
 /// rank order changes bits: magnitudes from 2^-24 to 2^27, the sequence
@@ -317,36 +317,6 @@ TEST(ProcessGroup, AllReduceEqualsSerialRankOrderSumBitwise) {
         pg.all_reduce_sum(rank, bufs[static_cast<std::size_t>(rank)]);
       });
       for (const auto& b : bufs) EXPECT_TRUE(testing::bits_equal(b, want));
-    }
-  }
-}
-
-TEST(ProcessGroup, ReduceScatterEqualsSerialRankOrderSumBitwise) {
-  for (const int world : kOrderWorlds) {
-    const auto w = static_cast<std::size_t>(world);
-    for (const std::size_t len : order_lengths(world)) {
-      // Each rank keeps a shard of ceil(len / w), so the inputs hold len
-      // floats rounded up to a multiple of the world.
-      const std::size_t shard = (len + w - 1) / w;
-      SCOPED_TRACE("world " + std::to_string(world) + " shard " +
-                   std::to_string(shard));
-      std::vector<std::vector<float>> in(w);
-      for (int r = 0; r < world; ++r) {
-        auto& x = in[static_cast<std::size_t>(r)];
-        x.resize(shard * w);
-        for (std::size_t i = 0; i < x.size(); ++i) x[i] = order_sensitive(r, i);
-      }
-      const std::vector<float> want = serial_rank_order_sum(in);
-      std::vector<std::vector<float>> outs(w, std::vector<float>(shard));
-      ProcessGroup pg(world);
-      run_ranks(world, [&](int rank) {
-        const auto r = static_cast<std::size_t>(rank);
-        pg.reduce_scatter_sum(rank, in[r], outs[r]);
-      });
-      for (std::size_t r = 0; r < w; ++r) {
-        EXPECT_TRUE(testing::bits_equal(
-            outs[r], std::span(want).subspan(r * shard, shard)));
-      }
     }
   }
 }

@@ -10,6 +10,7 @@
 
 #include "hw/transfer.hpp"
 #include "mem/device_arena.hpp"
+#include "obs/obs.hpp"
 
 namespace sh::hw {
 namespace {
@@ -166,6 +167,32 @@ TEST(TransferEngine, TransferAccountsJobBytes) {
   eng.transfer(256);  // also callable from outside a job
   EXPECT_EQ(eng.completed_transfers(), 2u);
   EXPECT_EQ(eng.bytes_transferred(), 768u);
+}
+
+TEST(TransferEngine, EachJobIsOneQueueSpanAndCountsInTheDepth) {
+  obs::Recorder& rec = obs::Recorder::global();
+  rec.clear();
+  rec.set_enabled(true);
+  {
+    TransferEngine eng("lnk");
+    std::promise<void> gate;
+    std::shared_future<void> opened = gate.get_future().share();
+    eng.run_async([opened] { opened.wait(); });
+    eng.run_async([] {});
+    eng.run_async([] {});
+    // The first job blocks the worker; all three are queued or running.
+    EXPECT_EQ(eng.queue_depth(), 3u);
+    gate.set_value();
+    eng.wait_all();
+    EXPECT_EQ(eng.queue_depth(), 0u);
+  }
+  std::size_t ops = 0;
+  for (const obs::Span& s : rec.snapshot()) {
+    if (s.track == "lnk-queue" && s.name == "op") ++ops;
+  }
+  rec.set_enabled(false);
+  rec.clear();
+  EXPECT_EQ(ops, 3u);
 }
 
 TEST(TransferEngine, PropagatesJobExceptions) {

@@ -124,17 +124,6 @@ TEST(Recorder, ClearDropsSpansAndKeepsRecording) {
   EXPECT_EQ(r.snapshot().size(), 1u);
 }
 
-TEST(Metrics, CounterAndGauge) {
-  Counter c;
-  c.add();
-  c.add(41);
-  EXPECT_EQ(c.value(), 42u);
-  Gauge g;
-  g.set(7);
-  g.add(-3);
-  EXPECT_EQ(g.value(), 4);
-}
-
 TEST(Metrics, HistogramPercentilesInterpolate) {
   Histogram h;
   EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);  // empty -> 0

@@ -90,18 +90,6 @@ TEST(Adam, WeightDecayShrinksParams) {
   EXPECT_LT(p2, p1);
 }
 
-TEST(Adam, CloneIsIndependentButEquivalent) {
-  Adam adam({.lr = 0.07f});
-  auto copy = adam.clone();
-  EXPECT_EQ(copy->state_per_param(), 2);
-  float pa = 1.0f, pb = 1.0f;
-  std::vector<float> sa(2, 0.0f), sb(2, 0.0f);
-  const float g = 0.3f;
-  adam.step(&pa, &g, sa.data(), 1, 1);
-  copy->step(&pb, &g, sb.data(), 1, 1);
-  EXPECT_FLOAT_EQ(pa, pb);
-}
-
 TEST(Adam, StateLayoutIsMomentumThenVariance) {
   Adam adam({.lr = 1.0f, .beta1 = 0.5f, .beta2 = 0.5f});
   std::vector<float> p = {0.0f, 0.0f};

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -7,6 +9,7 @@
 #include <numeric>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "storage/fault_plan.hpp"
 #include "storage/swap_file.hpp"
 
@@ -358,6 +361,112 @@ TEST(SwapFile, JoinAsyncCarriesFirstFailure) {
   EXPECT_TRUE(swap.contains(2));
   // The latch records exhausted ops regardless of who holds the future.
   EXPECT_THROW(swap.rethrow_pending(), IoError);
+}
+
+/// Number of (track, name) spans in the global recorder.
+std::size_t count_spans(const char* track, const char* name) {
+  std::size_t n = 0;
+  for (const obs::Span& s : obs::Recorder::global().snapshot()) {
+    if (s.track == track && s.name == name) ++n;
+  }
+  return n;
+}
+
+/// Enables the global recorder for one test and leaves it off and empty.
+class RecorderOn {
+ public:
+  RecorderOn() {
+    obs::Recorder::global().clear();
+    obs::Recorder::global().set_enabled(true);
+  }
+  ~RecorderOn() {
+    obs::Recorder::global().set_enabled(false);
+    obs::Recorder::global().clear();
+  }
+};
+
+TEST(SwapFile, RetryAccountingCountsEveryRetryAndCappedBackoff) {
+  // Reads fault on attempts 0-2 and recover on attempt 3, so each read
+  // retries three times. The backoff doubles from 1e-4 s and is capped at
+  // 3e-4 s: 1e-4 + 2e-4 + 3e-4 per read.
+  FaultConfig fc = faulty(FaultKind::TransientError, IoOp::Read);
+  fc.max_faults_per_op = 3;
+  fc.max_attempts = 5;
+  fc.backoff_initial_s = 1e-4;
+  fc.backoff_multiplier = 2.0;
+  fc.backoff_max_s = 3e-4;
+  RecorderOn recorder;
+  SwapFile swap(tmp_path("retry_accounting"), 0, 0.0, fc);
+  std::vector<float> v(64, 5.0f);
+  constexpr std::int64_t kReads = 2;
+  for (std::int64_t k = 0; k < kReads; ++k) swap.write(k, v);
+  for (std::int64_t k = 0; k < kReads; ++k) {
+    std::vector<float> out(64, -1.0f);
+    swap.read_async(k, out).get();
+    EXPECT_EQ(out, v);
+  }
+  swap.wait_all();
+
+  double per_read = 0.0;
+  double backoff = fc.backoff_initial_s;
+  for (int retry = 0; retry < 3; ++retry) {
+    per_read += backoff;
+    backoff = std::min(backoff * fc.backoff_multiplier, fc.backoff_max_s);
+  }
+  EXPECT_EQ(swap.retries_attempted(), 3u * kReads);
+  EXPECT_NEAR(swap.retry_backoff_seconds(), per_read * kReads, 1e-8);
+  EXPECT_EQ(swap.io_errors(), 0u);
+  EXPECT_EQ(count_spans("swap", "retry"), 3u * kReads);
+  EXPECT_EQ(count_spans("swap", "read"), 4u * kReads);  // one per attempt
+  EXPECT_EQ(count_spans("swap", "write"), static_cast<std::size_t>(kReads));
+}
+
+TEST(SwapFile, ZeroBackoffRetryRecordsAnInstant) {
+  FaultConfig fc = faulty(FaultKind::TransientError, IoOp::Write);
+  fc.backoff_initial_s = 0.0;
+  RecorderOn recorder;
+  SwapFile swap(tmp_path("retry_instant"), 0, 0.0, fc);
+  std::vector<float> v(64, 6.0f);
+  swap.write(1, v);
+  EXPECT_EQ(swap.retries_attempted(), 2u);
+  EXPECT_EQ(swap.retry_backoff_seconds(), 0.0);
+  std::size_t instants = 0;
+  for (const obs::Span& s : obs::Recorder::global().snapshot()) {
+    if (s.track == "swap" && s.name == "retry" && s.instant) ++instants;
+  }
+  EXPECT_EQ(instants, 2u);
+  EXPECT_EQ(count_spans("swap", "write"), 3u);
+}
+
+TEST(SwapFile, StructuralFailureIsNotRetriedButLatched) {
+  // A file truncated behind the tier's back makes pread return 0: a real
+  // syscall failure, not an injected fault. It must not consume the retry
+  // budget or count as an exhausted one, and a dropped future must not lose
+  // it.
+  SwapFile swap(tmp_path("structural"), 0, 0.0, FaultConfig{});
+  ASSERT_GT(swap.fault_plan().config().max_attempts, 1u);
+  std::vector<float> v(64, 7.0f);
+  swap.write(1, v);
+  ASSERT_EQ(::truncate(swap.path().c_str(), 0), 0);
+  std::vector<float> out(64, -1.0f);
+  try {
+    swap.read_async(1, out).get();
+    FAIL() << "read of a truncated region did not throw";
+  } catch (const IoError& e) {
+    EXPECT_EQ(e.kind(), IoErrorKind::SyscallFailed);
+    EXPECT_EQ(e.op(), IoOp::Read);
+    EXPECT_EQ(e.key(), 1);
+    EXPECT_EQ(e.attempts(), 1u);
+  }
+  EXPECT_EQ(swap.retries_attempted(), 0u);
+  EXPECT_EQ(swap.io_errors(), 0u);
+  try {
+    swap.rethrow_pending();
+    FAIL() << "structural failure was not latched";
+  } catch (const IoError& e) {
+    EXPECT_EQ(e.kind(), IoErrorKind::SyscallFailed);
+  }
+  swap.rethrow_pending();  // take-and-clear
 }
 
 TEST(SwapFile, HealthyPlanInjectsNothing) {
